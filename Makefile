@@ -11,7 +11,7 @@
 #   bench      - run the benchmark suite and emit BENCH_<n>.json
 #                (benchmark name -> ns/op, B/op, allocs/op via cmd/benchjson)
 #   results    - regenerate every paper artifact into results/
-#   fuzz       - fuzz the percentile estimators
+#   fuzz       - fuzz the percentile estimators and the fault-plan DSLs
 #   clean      - remove generated results
 
 GO ?= go
@@ -56,6 +56,8 @@ results:
 fuzz:
 	$(GO) test -fuzz FuzzP2VsExact -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
+	$(GO) test -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
 
 clean:
 	rm -rf results

@@ -66,7 +66,7 @@ func main() {
 
 		chaosPlan = flag.String("chaos-plan", "", "fault plan spec (kind@epoch[xN|+],... with kinds apply|drop|stale|nan|panic)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "generate a random fault plan from this seed (0 = no faults; -chaos-plan wins)")
-		fleetPlan = flag.String("fleet-plan", "", "fleet fault plan spec (crash|degrade|blackout@epoch[xN|+]) applied to this node as a one-node fleet")
+		fleetPlan = flag.String("fleet-plan", "", "fleet fault plan spec (crash|blackout@epoch[xN|+]) applied to this node as a one-node fleet")
 	)
 	flag.Parse()
 
@@ -170,7 +170,7 @@ type daemon struct {
 
 	// Fleet-plan state: the daemon is a one-node fleet, so crash events
 	// freeze the node (down counts, no strategy turn) and blackout events
-	// drop its telemetry. Degrades are logged and ignored — the engine's
+	// drop its telemetry. Degrades are rejected by newDaemon — the engine's
 	// capacity is fixed at construction.
 	fleetPlan  *faults.FleetPlan
 	appCount   int
@@ -182,8 +182,17 @@ type daemon struct {
 
 // newDaemon builds the controller stack; a non-empty fault plan wraps the
 // node, the host and the strategy with the injector so the daemon's
-// degradation paths can be exercised end to end.
+// degradation paths can be exercised end to end. A fleet plan may crash or
+// black out the node but not degrade it: a live node cannot shrink its
+// machine spec.
 func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *faults.Plan, fleet *faults.FleetPlan) (*daemon, error) {
+	if !fleet.Empty() {
+		for _, ev := range fleet.Events {
+			if ev.Kind == faults.NodeDegrade {
+				return nil, fmt.Errorf("fleet plan event %s: degrade is not supported by the daemon (a live node cannot shrink its machine spec)", ev)
+			}
+		}
+	}
 	apps, loads, err := parseMix(mix)
 	if err != nil {
 		return nil, err
@@ -206,13 +215,6 @@ func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *fau
 		loads:     loads,
 		fleetPlan: fleet,
 		appCount:  len(apps),
-	}
-	if !fleet.Empty() {
-		for _, ev := range fleet.Events {
-			if ev.Kind == faults.NodeDegrade {
-				log.Printf("ahqd: fleet plan degrade %s ignored: a live node cannot shrink its machine spec", ev)
-			}
-		}
 	}
 	if !plan.Empty() {
 		inj := faults.NewInjector(plan)

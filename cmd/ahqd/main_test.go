@@ -351,6 +351,24 @@ func TestDaemonFleetPlan(t *testing.T) {
 	}
 }
 
+func TestDaemonFleetPlanRejectsDegrade(t *testing.T) {
+	fp, err := faults.ParseFleet("crash@2x3,degrade@5x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err = fp.Resolve(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = newDaemon("arq", "xapian:0.3+stream", 1, 500, 0.8, nil, fp)
+	if err == nil {
+		t.Fatal("newDaemon accepted a fleet plan with a degrade event")
+	}
+	if !strings.Contains(err.Error(), "degrade@5x2") {
+		t.Errorf("error %q does not name the degrade event", err)
+	}
+}
+
 func TestDaemonFleetPlanRejectsOtherNodes(t *testing.T) {
 	fp, err := faults.ParseFleet("crash@2/node=3")
 	if err != nil {

@@ -57,7 +57,7 @@ type unitRef struct {
 // runChaos drives the fleet under the configured FleetPlan. cfg has been
 // validated by Run (placement non-empty, strategy present, no NodeSeed, no
 // KeepResults, NodeCache implies StrategyDigest).
-func runChaos(cfg Config, opts core.Options, ri float64, solves *sim.SolveCache) (*Result, error) {
+func runChaos(cfg Config, opts core.Options, ri float64) (*Result, error) {
 	o := opts.WithDefaults()
 	totalEpochs := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
 	warmEpochs := int(math.Ceil(o.WarmupMs / o.EpochMs))
@@ -144,7 +144,7 @@ func runChaos(cfg Config, opts core.Options, ri float64, solves *sim.SolveCache)
 	for ci := range classes {
 		units[ci] = shardUnit{key: classes[ci].key, unit: classes[ci].unit}
 	}
-	outs, stats, err := runUnits(&cfg, units, solves)
+	outs, stats, err := runUnits(&cfg, units)
 	if err != nil {
 		return nil, err
 	}

@@ -12,17 +12,17 @@ package cluster
 //
 // NodeCache extends the collapse to the whole sweep: a concurrency-safe,
 // sharded, bounded, content-addressed cache of *completed node
-// simulations*, in the mold of sim.SolveCache one level up. The key is a
-// bit-exact serialisation of every input a node simulation reads — machine
-// spec, core.Options, RI, the engine tunables, a caller-supplied strategy
-// identity digest, the node seed, and the canonical application template
-// list, floats encoded by their IEEE-754 bit patterns — and the value is
-// the node's classOut (summary template plus entropy samples). A hit
-// therefore replays the exact record the identical computation produced
-// elsewhere, and output stays byte-identical by construction; only wall
-// time changes. Entries are published through a single-flight protocol:
-// the first goroutine to reach a key claims it and simulates, racers wait
-// on the entry's done channel instead of duplicating the work.
+// simulations*. The key is a bit-exact serialisation of every input a node
+// simulation reads — machine spec, core.Options, RI, the engine tunables, a
+// caller-supplied strategy identity digest, the node seed, and the
+// canonical application template list, floats encoded by their IEEE-754
+// bit patterns — and the value is the node's classOut (summary template
+// plus entropy samples). A hit therefore replays the exact record the
+// identical computation produced elsewhere, and output stays byte-identical
+// by construction; only wall time changes. Entries are published through a
+// single-flight protocol: the first goroutine to reach a key claims it and
+// simulates, racers wait on the entry's done channel instead of
+// duplicating the work.
 //
 // The strategy digest is the one key component the engine cannot derive
 // itself: Config.NewStrategy is an opaque factory, so the caller must
@@ -43,8 +43,8 @@ import (
 // lock; a small power of two keeps the shard pick free.
 const nodeCacheShardCount = 8
 
-// nodeCacheShardMaxEntries bounds each shard. As with the solve cache the
-// bound exists to cap memory under adversarial key diversity, not to
+// nodeCacheShardMaxEntries bounds each shard. As with the engine's solve
+// memo the bound exists to cap memory under adversarial key diversity, not to
 // evict: a full shard stops accepting inserts and keeps its early entries.
 // 8 shards x 1024 entries covers every unique node content a fleet sweep
 // of tens of thousands of nodes produces over a quantised population.

@@ -14,22 +14,25 @@ import (
 	"ahq/internal/workload"
 )
 
+// planRoundTripCases pair plan specs with their canonical rendering. They
+// also seed FuzzParse.
+var planRoundTripCases = []struct {
+	spec string
+	want string
+}{
+	{"", "-"},
+	{"-", "-"},
+	{"none", "-"},
+	{"apply@5", "apply@5"},
+	{"drop@8x3", "drop@8x3"},
+	{"apply@10+", "apply@10+"},
+	{" panic@2 , nan@4x2 ", "panic@2,nan@4x2"},
+	// Canonical ordering: by epoch first, kind second.
+	{"stale@7,drop@3,apply@3", "apply@3,drop@3,stale@7"},
+}
+
 func TestParseStringRoundTrip(t *testing.T) {
-	cases := []struct {
-		spec string
-		want string
-	}{
-		{"", "-"},
-		{"-", "-"},
-		{"none", "-"},
-		{"apply@5", "apply@5"},
-		{"drop@8x3", "drop@8x3"},
-		{"apply@10+", "apply@10+"},
-		{" panic@2 , nan@4x2 ", "panic@2,nan@4x2"},
-		// Canonical ordering: by epoch first, kind second.
-		{"stale@7,drop@3,apply@3", "apply@3,drop@3,stale@7"},
-	}
-	for _, c := range cases {
+	for _, c := range planRoundTripCases {
 		p, err := faults.Parse(c.spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.spec, err)
@@ -57,6 +60,28 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 			t.Errorf("Parse(%q): want error, got nil", spec)
 		}
 	}
+}
+
+// FuzzParse: whatever Parse accepts must render to a spec that parses
+// again and renders identically — String is the canonical form.
+func FuzzParse(f *testing.F) {
+	for _, c := range planRoundTripCases {
+		f.Add(c.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := faults.Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		again, err := faults.Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q does not parse: %v", spec, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("Parse(%q) renders %q, which re-renders as %q", spec, canon, got)
+		}
+	})
 }
 
 func TestEventActiveAt(t *testing.T) {

@@ -8,15 +8,18 @@ import (
 	"ahq/internal/machine"
 )
 
+// fleetRoundTripSpecs are canonical fleet specs: each renders back to
+// itself. They also seed FuzzParseFleet.
+var fleetRoundTripSpecs = []string{
+	"crash@120x3/nodes=2%",
+	"degrade@200+/node=17",
+	"blackout@50x10/nodes=5",
+	"crash@4+/nodes=1",
+	"crash@10/nodes=1,degrade@10x4/nodes=3,blackout@12x2/nodes=10%",
+}
+
 func TestParseFleetRoundTrip(t *testing.T) {
-	cases := []string{
-		"crash@120x3/nodes=2%",
-		"degrade@200+/node=17",
-		"blackout@50x10/nodes=5",
-		"crash@4+/nodes=1",
-		"crash@10/nodes=1,degrade@10x4/nodes=3,blackout@12x2/nodes=10%",
-	}
-	for _, spec := range cases {
+	for _, spec := range fleetRoundTripSpecs {
 		p, err := ParseFleet(spec)
 		if err != nil {
 			t.Fatalf("ParseFleet(%q): %v", spec, err)
@@ -72,6 +75,9 @@ func TestParseFleetRejects(t *testing.T) {
 		"crash@5/victims=3",     // bad selector key
 		"crash",                 // missing epoch
 		"crash@5/nodes=2%extra", // trailing junk in percent
+		"crash@5/nodes=NaN%",    // non-finite percent
+		"crash@5/nodes=Inf%",    // non-finite percent
+		"crash@5/nodes=-Inf%",   // non-finite percent
 	}
 	for _, spec := range cases {
 		if _, err := ParseFleet(spec); err == nil {
@@ -308,4 +314,26 @@ func TestGenerateFleetVictimCap(t *testing.T) {
 			t.Errorf("n=%d: generated plan %q not parseable: %v", n, p.String(), err)
 		}
 	}
+}
+
+// FuzzParseFleet: whatever ParseFleet accepts must render to a spec that
+// parses again and renders identically — String is the canonical form.
+func FuzzParseFleet(f *testing.F) {
+	for _, spec := range fleetRoundTripSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFleet(spec)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		again, err := ParseFleet(canon)
+		if err != nil {
+			t.Fatalf("ParseFleet(%q) accepted, but its rendering %q does not parse: %v", spec, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("ParseFleet(%q) renders %q, which re-renders as %q", spec, canon, got)
+		}
+	})
 }

@@ -17,10 +17,10 @@ package sim
 //     permutation [0, 1, …] is already a valid heap; only the slot that
 //     just served a request ever moves, and only downward.
 //
-// dispatchLinear preserves the original scan verbatim as the reference
-// implementation; TestHeapDispatchMatchesLinear drives both over
-// randomized queues and slot configurations and demands identical
-// completion sequences, clocks, and leftover queues.
+// dispatchLinear (dispatch_test.go) preserves the original scan verbatim
+// as the reference implementation; TestHeapDispatchMatchesLinear drives
+// both over randomized queues and slot configurations and demands
+// identical completion sequences, clocks, and leftover queues.
 
 // dispatchHeap serves a's queued requests on its slots for the tick
 // [nowMs, tickEnd), completing what fits and carrying the rest.
@@ -218,65 +218,4 @@ func (a *appState) complete(req request, done float64) {
 		// Closed loop: the user thinks, then reissues.
 		a.nextIssue[req.user] = done + a.rng.ExpFloat64()*a.thinkMean()
 	}
-}
-
-// dispatchLinear is the pre-heap dispatcher, kept verbatim as the reference
-// for the differential test: for each request, rescan every slot for the
-// earliest one with a usable rate.
-func (a *appState) dispatchLinear(nowMs, tickEnd float64) {
-	nSlots := a.threads()
-	clocks := make([]float64, nSlots)
-	rates := make([]float64, nSlots)
-	isoSlots := a.isoCores
-	if isoSlots > nSlots {
-		isoSlots = nSlots
-	}
-	for i := 0; i < nSlots; i++ {
-		clocks[i] = nowMs
-		speed := a.sharedShare
-		if i < isoSlots {
-			speed = 1
-		}
-		rates[i] = speed / a.slowdown // work per wall-clock ms
-	}
-	q := a.pending()
-	kept := q[:0]
-	for _, req := range q {
-		// Earliest-available slot with a usable rate.
-		slot := -1
-		for i := 0; i < nSlots; i++ {
-			if rates[i] <= 0 {
-				continue
-			}
-			if slot == -1 || clocks[i] < clocks[slot] {
-				slot = i
-			}
-		}
-		if slot == -1 {
-			kept = append(kept, req)
-			continue
-		}
-		start := clocks[slot]
-		if req.arrivalMs > start {
-			start = req.arrivalMs
-		}
-		if req.notBefore > start {
-			start = req.notBefore
-		}
-		if start >= tickEnd {
-			kept = append(kept, req)
-			continue
-		}
-		can := (tickEnd - start) * rates[slot]
-		if req.remainMs <= can {
-			done := start + req.remainMs/rates[slot]
-			clocks[slot] = done
-			a.complete(req, done)
-			continue
-		}
-		req.remainMs -= can
-		clocks[slot] = tickEnd
-		kept = append(kept, req)
-	}
-	a.queue = a.queue[:a.qHead+len(kept)]
 }

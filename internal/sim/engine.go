@@ -7,7 +7,6 @@ import (
 	"ahq/internal/machine"
 	"ahq/internal/metrics"
 	"ahq/internal/sched"
-	"ahq/internal/trace"
 	"ahq/internal/workload"
 )
 
@@ -25,16 +24,6 @@ type Config struct {
 	Tunables Tunables
 	// Apps are the collocated applications.
 	Apps []AppConfig
-	// DisableFastForward forces RunWindow through the naive one-Step-per-
-	// tick march even over provably eventless stretches. The skip-ahead is
-	// an exact fast-forward, so results are identical either way; the
-	// differential tests pin that by running both forms side by side.
-	DisableFastForward bool
-	// SharedSolves optionally connects the engine to an experiment-scoped
-	// cross-engine contention solve cache (solvecache.go). Sharing is
-	// bit-exact — the cache key covers every resolver input — so a run
-	// with the cache is identical to one without; nil disables sharing.
-	SharedSolves *SolveCache
 }
 
 // wayChangeEpsilon is the smallest change in an application's static way
@@ -71,9 +60,6 @@ type Engine struct {
 	// long horizons (for the integral millisecond ticks every experiment
 	// uses, both forms are exact and identical).
 	tickCount int64
-	// skippedTicks counts ticks the event-driven clock elided via
-	// fastForward (instrumentation for tests and benchmarks).
-	skippedTicks int64
 
 	// Reusable per-tick scratch for the contention resolvers.
 	scratchMembers  []*appState
@@ -91,23 +77,6 @@ type Engine struct {
 	// from the nominal window length when windowMs is not an integral
 	// multiple of the tick.
 	windowStartMs float64
-
-	// everyTickArrivals is set when any application draws from its arrival
-	// stream every tick (open loop under a possibly-always-positive load);
-	// eliding any tick would then change the random stream, so the
-	// event-driven clock stands down for the whole run.
-	everyTickArrivals bool
-	// noFastForward mirrors Config.DisableFastForward.
-	noFastForward bool
-
-	// shared is the optional cross-engine solve cache (solvecache.go).
-	// solveStatic/solvePrefix/solveKey are its key-building buffers: the
-	// engine-static part, the part including the compiled topology, and
-	// the per-tick scratch for the complete key.
-	shared      *SolveCache
-	solveStatic []byte
-	solvePrefix []byte
-	solveKey    []byte
 }
 
 // New validates the configuration and builds an engine. The engine starts
@@ -159,13 +128,8 @@ func New(cfg Config) (*Engine, error) {
 		as := newAppState(ac, cfg.Seed+int64(i+1)*0x9E3779B97F4A7C)
 		as.refMiss = as.cache().MissRatio(tun.RefWays)
 		as.cacheDenom = 1 + as.sens().CacheSens*as.refMiss
-		if as.arrivals == arrivalsEveryTick {
-			e.everyTickArrivals = true
-		}
 		e.apps = append(e.apps, as)
 	}
-	e.noFastForward = cfg.DisableFastForward
-	e.shared = cfg.SharedSolves
 	if err := e.SetAllocation(machine.AllShared(cfg.Spec, machine.FairShare, e.AppNames())); err != nil {
 		return nil, err
 	}
@@ -209,7 +173,6 @@ func (e *Engine) SetAllocation(a machine.Allocation) error {
 	e.alloc = clone
 	e.topo = topo
 	e.memo.invalidate()
-	e.refreshSolvePrefix()
 	// Trigger warm-up where the way entitlement changed. Entitlement here
 	// is the static upper bound (isolated + full shared), which changes
 	// exactly when the partitioning moved ways around this application.
@@ -241,160 +204,6 @@ func (e *Engine) Step() {
 	e.nowMs = tickEnd
 }
 
-// advance moves the simulation forward by at least one tick but never past
-// endTick: it fast-forwards over the run of provably eventless ticks ahead
-// of the clock, if any, then processes one real tick if one remains before
-// the boundary.
-func (e *Engine) advance(endTick int64) {
-	if !e.everyTickArrivals && !e.noFastForward {
-		if j := e.nextEventTick(endTick); j > e.tickCount {
-			e.fastForward(j)
-			if e.tickCount >= endTick {
-				return
-			}
-		}
-	}
-	e.Step()
-}
-
-// nextEventTick returns the first tick index in (tickCount, endTick] that
-// could contain an event — an arrival, a closed-loop issue, in-flight LC
-// work, a warm-up transient, or randomness consumption of any kind — or
-// tickCount itself when the current tick cannot be proven eventless. Every
-// tick strictly before the returned index performs exactly the constant
-// best-effort accumulation that fastForward applies, so skipping there is
-// an exact fast-forward, not an approximation.
-func (e *Engine) nextEventTick(endTick int64) int64 {
-	cur := e.tickCount
-	// During warm-up the contention solve depends continuously on time.
-	if e.nowMs < e.warmupMaxUntilMs {
-		return cur
-	}
-	// The elided ticks never call resolveContention, so the per-app fields
-	// must already hold the steady-state solve of the current vector — and
-	// that vector must be what the elided ticks would present.
-	if !e.memo.lastOK {
-		return cur
-	}
-	for i, a := range e.apps {
-		rt := a.runnableThreads()
-		if a.class == workload.LC && rt > 0 {
-			return cur // backlog: dispatch must run every tick
-		}
-		if e.memo.lastVec[i] != uint16(rt) {
-			return cur
-		}
-	}
-	t := endTick
-	for _, a := range e.apps {
-		switch a.arrivals {
-		case arrivalsNone:
-			// No arrival source; nothing to wait for.
-		case arrivalsEveryTick:
-			return cur // unreachable: New sets everyTickArrivals
-		case arrivalsClosedLoop:
-			if a.nextIssue == nil {
-				return cur // first tick seeds the users' staggered starts
-			}
-			for _, due := range a.nextIssue {
-				if due < 0 {
-					continue // outstanding; its completion needs pending > 0
-				}
-				if k := e.issueTick(due, endTick); k < t {
-					t = k
-				}
-			}
-		case arrivalsSparse:
-			z := trace.NextPositive(a.cfg.Load, e.nowMs)
-			if !math.IsInf(z, 1) {
-				if k := e.loadTick(z, endTick); k < t {
-					t = k
-				}
-			}
-		}
-		if t <= cur {
-			return cur
-		}
-	}
-	return t
-}
-
-// issueTick returns the first tick (never past endTick) whose arrive call
-// would fire a closed-loop user due at dueMs: the smallest k with
-// dueMs < float64(k)*tick + tick, evaluated with the exact float arithmetic
-// arrive uses, so skipping to it reproduces the naive march bit for bit.
-func (e *Engine) issueTick(dueMs float64, endTick int64) int64 {
-	if !(dueMs < float64(endTick)*e.tick+e.tick) {
-		return endTick
-	}
-	k := int64(dueMs / e.tick)
-	for k > e.tickCount && dueMs < float64(k-1)*e.tick+e.tick {
-		k--
-	}
-	for !(dueMs < float64(k)*e.tick+e.tick) {
-		k++
-	}
-	if k < e.tickCount {
-		k = e.tickCount
-	}
-	return k
-}
-
-// loadTick returns the first tick (never past endTick) whose start time
-// samples the load profile at or after fromMs — the smallest k with
-// float64(k)*tick >= fromMs — again under arrive's exact float arithmetic.
-func (e *Engine) loadTick(fromMs float64, endTick int64) int64 {
-	if !(float64(endTick)*e.tick >= fromMs) {
-		return endTick
-	}
-	k := int64(fromMs / e.tick)
-	for k > e.tickCount && float64(k-1)*e.tick >= fromMs {
-		k--
-	}
-	for float64(k)*e.tick < fromMs {
-		k++
-	}
-	if k < e.tickCount {
-		k = e.tickCount
-	}
-	return k
-}
-
-// fastForward advances the clock to tick `to`, applying the per-tick
-// best-effort accumulation each elided tick would have performed. The ticks
-// were proven eventless by nextEventTick, so the per-tick work increment is
-// the same constant throughout the run; it is still applied as repeated
-// additions — float addition is not distributive, and a single multiply
-// would diverge from the naive march in the last bits.
-func (e *Engine) fastForward(to int64) {
-	n := to - e.tickCount
-	if n <= 0 {
-		return
-	}
-	dt := e.tick
-	for _, a := range e.apps {
-		if a.class != workload.BE {
-			continue
-		}
-		if a.totalCoreShare > 0 && a.slowdown > 0 {
-			work := a.totalCoreShare * dt / a.slowdown
-			for i := int64(0); i < n; i++ {
-				a.workWin.Add(work)
-				a.runWork += work
-				a.runMs += dt
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				a.runMs += dt
-			}
-		}
-	}
-	e.memo.hits += uint64(n)
-	e.skippedTicks += n
-	e.tickCount = to
-	e.nowMs = float64(to) * e.tick
-}
-
 // RunWindow advances the simulation by one monitoring interval and returns
 // each application's observation for it.
 //
@@ -407,7 +216,7 @@ func (e *Engine) RunWindow(windowMs float64) []sched.AppWindow {
 	e.windowStartMs = e.nowMs
 	endTick := e.tickCount + windowTicks(windowMs, e.tick)
 	for e.tickCount < endTick {
-		e.advance(endTick)
+		e.Step()
 	}
 	return e.snapshot(e.nowMs - e.windowStartMs)
 }
