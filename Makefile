@@ -11,7 +11,8 @@
 #   bench      - run the benchmark suite and emit BENCH_<n>.json
 #                (benchmark name -> ns/op, B/op, allocs/op via cmd/benchjson)
 #   results    - regenerate every paper artifact into results/
-#   fuzz       - fuzz the percentile estimators and the fault-plan DSLs
+#   fuzz       - fuzz the percentile estimators, the fault-plan DSLs and
+#                the load-trace CSV reader
 #   clean      - remove generated results
 
 GO ?= go
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
+	$(GO) test -fuzz '^FuzzReadCSV$$' -fuzztime 20s ./internal/trace/
 
 clean:
 	rm -rf results

@@ -66,6 +66,16 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	return v*(1-frac) + w*frac
 }
 
+// SelectInPlace returns the k-th smallest element of xs (0-based), the
+// value sort.Float64s would leave at xs[k], without sorting: xs is
+// partially partitioned around position k on return. It panics if k is
+// out of range. Unlike PercentileInPlace it reads one order statistic
+// exactly and never interpolates between two.
+func SelectInPlace(xs []float64, k int) float64 {
+	selectFloat(xs, k)
+	return xs[k]
+}
+
 // selectFloat partially sorts xs so that xs[k] holds the k-th smallest
 // element, everything before it is no larger and everything after it no
 // smaller (Hoare quickselect with a median-of-three pivot; small ranges

@@ -71,6 +71,63 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
+// TestSelectInPlaceMatchesSort checks that SelectInPlace(xs, k) reads the
+// same element sort.Float64s leaves at xs[k], for every k, on random,
+// duplicate-heavy, already-sorted and reversed inputs of sizes on both
+// sides of the insertion-sort cutoff.
+func TestSelectInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inputs := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+			}
+			return xs
+		},
+		"duplicates": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(4))
+			}
+			return xs
+		},
+		"sorted": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 2
+			}
+			return xs
+		},
+		"reversed": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n - i)
+			}
+			return xs
+		},
+	}
+	for label, gen := range inputs {
+		for _, n := range []int{1, 2, 15, 16, 17, 64, 257, 1000} {
+			xs := gen(n)
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			work := make([]float64, n)
+			for k := 0; k < n; k++ {
+				copy(work, xs)
+				if got := SelectInPlace(work, k); got != sorted[k] {
+					t.Fatalf("%s n=%d: SelectInPlace(k=%d) = %g, sorted[k] = %g", label, n, k, got, sorted[k])
+				}
+				for i, v := range work {
+					if (i < k && v > work[k]) || (i > k && v < work[k]) {
+						t.Fatalf("%s n=%d k=%d: xs[%d] = %g not partitioned around %g", label, n, k, i, v, work[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestP2AgainstExactOnLogNormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []float64{0.5, 0.95, 0.99} {

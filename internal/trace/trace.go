@@ -41,7 +41,10 @@ func NewSteps(steps ...Step) (Steps, error) {
 	out := append(Steps(nil), steps...)
 	sort.Slice(out, func(i, j int) bool { return out[i].StartMs < out[j].StartMs })
 	for _, s := range out {
-		if s.Frac < 0 || s.Frac > 1 {
+		if math.IsNaN(s.StartMs) {
+			return nil, fmt.Errorf("trace: step start is NaN")
+		}
+		if !(s.Frac >= 0 && s.Frac <= 1) {
 			return nil, fmt.Errorf("trace: step load %.3g outside [0,1]", s.Frac)
 		}
 	}

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+
+	"ahq/internal/metrics"
 )
 
 // Calibrate derives the free parameters of an LC model from three observable
@@ -62,22 +63,33 @@ const calibrationSeed int64 = 0x5EED
 // ideal p95. The mix's mean factor is 1, so the service mean (and max load)
 // are unchanged; only the split of variance between the log-normal and the
 // content factor moves. The fit is a deterministic Monte-Carlo bisection.
+//
+// The Monte-Carlo draws do not depend on sigma, so they are drawn once: n
+// (standard normal, term factor) pairs from calibrationSeed, in that order
+// per pair. Each probe then scales the same sample to its sigma and reads
+// element int(0.95*n) of the sorted sample — an exact order statistic, not
+// an interpolated percentile — by quickselect.
 func FitSigmaWithTerms(app *LCApp) error {
 	if app.Terms == nil {
 		return nil
 	}
 	target := app.IdealP95Ms
 
+	const n = 20000
+	rng := rand.New(rand.NewSource(calibrationSeed))
+	zs := make([]float64, n)
+	ts := make([]float64, n)
+	for i := range zs {
+		zs[i] = rng.NormFloat64()
+		ts[i] = app.Terms.Sample(rng)
+	}
+	xs := make([]float64, n)
 	p95at := func(sigma float64) float64 {
-		rng := rand.New(rand.NewSource(calibrationSeed))
 		mu := math.Log(app.ServiceMeanMs) - sigma*sigma/2
-		const n = 20000
-		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = math.Exp(mu+sigma*rng.NormFloat64()) * app.Terms.Sample(rng)
+			xs[i] = math.Exp(mu+sigma*zs[i]) * ts[i]
 		}
-		sort.Float64s(xs)
-		return xs[int(0.95*float64(n))]
+		return metrics.SelectInPlace(xs, int(0.95*float64(n)))
 	}
 
 	if floor := p95at(0); floor > target {
@@ -85,12 +97,10 @@ func FitSigmaWithTerms(app *LCApp) error {
 			app.Name, floor, target)
 	}
 	lo, hi := 0.0, app.ServiceSigma
-	if p95at(hi) < target {
-		// The original sigma plus the mix undershoots (possible when the
-		// mix is very mild); widen upward.
-		for p95at(hi) < target && hi < 3 {
-			hi *= 1.5
-		}
+	// The original sigma plus the mix may undershoot (possible when the
+	// mix is very mild); widen upward.
+	for p95at(hi) < target && hi < 3 {
+		hi *= 1.5
 	}
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2

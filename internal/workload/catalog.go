@@ -100,8 +100,12 @@ type lcCacheEntry struct {
 }
 
 // LCByName returns the calibrated model of one LC application. It is safe
-// for concurrent use.
+// for concurrent use. Unknown names are rejected before the memo is
+// touched, so arbitrary input never grows it.
 func LCByName(name string) (LCApp, error) {
+	if _, ok := lcCatalog[name]; !ok {
+		return LCApp{}, fmt.Errorf("workload: unknown LC app %q", name)
+	}
 	v, _ := lcCache.LoadOrStore(name, &lcCacheEntry{})
 	e := v.(*lcCacheEntry)
 	e.once.Do(func() { e.app, e.err = calibrateCatalog(name) })

@@ -130,8 +130,35 @@ func TestCatalogUnknownNames(t *testing.T) {
 	if _, err := LCByName("nope"); err == nil {
 		t.Error("unknown LC accepted")
 	}
+	// A rejected name must not leave an entry behind: callers may pass
+	// arbitrary user input, and the memo would otherwise grow with it.
+	if _, ok := lcCache.Load("nope"); ok {
+		t.Error("unknown LC name left an entry in lcCache")
+	}
 	if _, err := BEByName("nope"); err == nil {
 		t.Error("unknown BE accepted")
+	}
+}
+
+// TestCatalogSigmaGolden pins the bits of every sigma FitSigmaWithTerms
+// fits for the catalog's term-mix applications. Every paper table depends
+// on these values, so any change to the fit (draw order, sample count,
+// order statistic, bisection schedule) must keep them bit-identical.
+func TestCatalogSigmaGolden(t *testing.T) {
+	golden := map[string]uint64{
+		"xapian":   0x3fe93017a06e30ec, // 0.7871206410796083
+		"moses":    0x3fcfc4ac7e32f026, // 0.24818950807628076
+		"masstree": 0x3fd19345a805e8c1, // 0.27461377533439807
+	}
+	for name, want := range golden {
+		app, err := calibrateCatalog(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(app.ServiceSigma); got != want {
+			t.Errorf("%s: fitted sigma %v (bits %#x), want %v (bits %#x)",
+				name, app.ServiceSigma, got, math.Float64frombits(want), want)
+		}
 	}
 }
 
@@ -179,5 +206,19 @@ func TestServiceMuConsistency(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if LC.String() != "LC" || BE.String() != "BE" {
 		t.Error("Class strings wrong")
+	}
+}
+
+// BenchmarkCalibrateCatalog fits every LC model from its catalog entry,
+// bypassing the lcCache memo: the one-time cost each fresh process pays
+// before its first simulation.
+func BenchmarkCalibrateCatalog(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range LCNames() {
+			if _, err := calibrateCatalog(name); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
