@@ -11,8 +11,8 @@
 #   bench      - run the benchmark suite and emit BENCH_<n>.json
 #                (benchmark name -> ns/op, B/op, allocs/op via cmd/benchjson)
 #   results    - regenerate every paper artifact into results/
-#   fuzz       - fuzz the percentile estimators, the fault-plan DSLs and
-#                the load-trace CSV reader
+#   fuzz       - fuzz the percentile estimators, the fault-plan DSLs,
+#                the load-trace CSV reader and the ahqd load handler
 #   clean      - remove generated results
 
 GO ?= go
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -fuzz '^FuzzReadCSV$$' -fuzztime 20s ./internal/trace/
+	$(GO) test -fuzz '^FuzzHandleLoad$$' -fuzztime 20s ./cmd/ahqd/
 
 clean:
 	rm -rf results

@@ -111,15 +111,14 @@ func fleetBenchPlacement(b *testing.B, nodes int) [][]sim.AppConfig {
 	return placement
 }
 
-// benchFleet drives the 500-node screening fleet at the quick horizon
-// under a common-random-numbers seed policy (every node template runs the
-// same seed, the standard variance-reduction setup for comparing
-// placements). fleetEngine=true is the sharded production path: node
-// classes dedup to one simulation each and shards fan out over the worker
-// pool. fleetEngine=false is the sequential seed path — every node
-// simulated in full on one worker, exactly as the pre-fleet cluster.Run
-// ran it. Both paths produce bit-identical Results (pinned by
-// TestDedupMatchesFullSimulation); only the wall time differs.
+// benchFleet drives the 500-node screening fleet at the quick horizon.
+// fleetEngine=true is the production screening path: a
+// common-random-numbers seed policy (every node template runs the same
+// seed, the standard variance-reduction setup for comparing placements),
+// so equal nodes group to one simulation each and shards fan out over the
+// worker pool. fleetEngine=false keeps the default per-node seeds, which
+// never group, on one worker — every node simulated in full, exactly as
+// the pre-fleet cluster.Run ran it.
 func benchFleet(b *testing.B, fleetEngine bool) {
 	const nodes = 500
 	placement := fleetBenchPlacement(b, nodes)
@@ -133,10 +132,9 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 			Seed:        int64(n + 1),
 			NewStrategy: func(int) sched.Strategy { return arq.Default() },
 			Placement:   placement,
-			NodeSeed:    func(int) int64 { return int64(n + 1) },
 		}
 		if fleetEngine {
-			cfg.DedupIdenticalNodes = true
+			cfg.NodeSeed = func(int) int64 { return int64(n + 1) }
 		} else {
 			cfg.Parallel = 1
 		}
@@ -149,8 +147,9 @@ func benchFleet(b *testing.B, fleetEngine bool) {
 	b.ReportMetric(float64(stats.NodesSimulated), "nodesims/op")
 }
 
-// BenchmarkFleet is the sharded fleet engine with node-class dedup — the
-// fleet screening production path.
+// BenchmarkFleet is the sharded fleet engine on a common-random-numbers
+// fleet, where equal nodes simulate once — the fleet screening production
+// path.
 func BenchmarkFleet(b *testing.B) { benchFleet(b, true) }
 
 // BenchmarkFleetSequential is the seed baseline: the same 500 nodes
@@ -164,7 +163,7 @@ func BenchmarkFleetSequential(b *testing.B) { benchFleet(b, false) }
 // node pairs — the shape an online placement optimiser scores (Mage-style
 // candidate evaluation). Neighbours share the overwhelming majority of
 // their node contents with the incumbent, which is precisely the recurrence
-// the sweep-scoped NodeCache collapses and within-Run dedup cannot see.
+// the sweep-scoped NodeCache collapses and within-Run grouping cannot see.
 func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.AppConfig {
 	b.Helper()
 	rng := rand.New(rand.NewSource(9))
@@ -207,8 +206,8 @@ func fleetSweepCandidates(b *testing.B, nodes, candidates, swaps int) [][][]sim.
 
 // benchFleetSweep scores 5 candidate placements of one 100-node population
 // per iteration, exactly as a sweep does: common-random-numbers node seeds
-// (cluster.TemplateSeed), canonical intra-node order and within-Run dedup
-// in BOTH variants — the only difference is whether a sweep-scoped
+// (cluster.TemplateSeed), canonical intra-node order and within-Run
+// grouping in BOTH variants — the only difference is whether a sweep-scoped
 // cluster.NodeCache carries completed node simulations across the
 // candidate Runs. Both variants produce bit-identical tables (pinned by
 // TestNodeCacheHitIsBitIdentical and the CI ext-fleet smoke); the benchmark
@@ -242,14 +241,13 @@ func benchFleetSweep(b *testing.B, cached bool) {
 				seeds[i] = cluster.TemplateSeed(1, placement[i])
 			}
 			res, err := cluster.Run(cluster.Config{
-				Spec:                machine.DefaultSpec(),
-				Seed:                1,
-				NewStrategy:         func(int) sched.Strategy { return arq.Default() },
-				Placement:           placement,
-				NodeSeed:            func(i int) int64 { return seeds[i] },
-				DedupIdenticalNodes: true,
-				NodeCache:           nodeCache,
-				StrategyDigest:      "arq:default",
+				Spec:           machine.DefaultSpec(),
+				Seed:           1,
+				NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+				Placement:      placement,
+				NodeSeed:       func(i int) int64 { return seeds[i] },
+				NodeCache:      nodeCache,
+				StrategyDigest: "arq:default",
 			}, opts)
 			if err != nil {
 				b.Fatal(err)

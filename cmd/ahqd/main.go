@@ -620,7 +620,9 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	app := r.URL.Query().Get("app")
 	frac, err := strconv.ParseFloat(r.URL.Query().Get("frac"), 64)
-	if err != nil || frac < 0 || frac > 1 {
+	// ParseFloat accepts "NaN", and NaN fails every comparison, so the
+	// range check alone would let it through.
+	if err != nil || math.IsNaN(frac) || frac < 0 || frac > 1 {
 		http.Error(w, "frac must be in [0,1]", http.StatusBadRequest)
 		return
 	}

@@ -243,14 +243,56 @@ func TestDaemonLoadEndpoint(t *testing.T) {
 	if rec := post("app=ghost&frac=0.5"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown app: %d", rec.Code)
 	}
-	if rec := post("app=xapian&frac=1.5"); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad frac: %d", rec.Code)
+	for _, frac := range []string{"1.5", "-0.1", "NaN", "nan", "Inf", "x", ""} {
+		if rec := post("app=xapian&frac=" + frac); rec.Code != http.StatusBadRequest {
+			t.Errorf("bad frac %q: %d", frac, rec.Code)
+		}
+	}
+	if got := d.loads["xapian"].At(0); got != 0.9 {
+		t.Errorf("load = %g after rejected changes, want 0.9 kept", got)
 	}
 	getRec := httptest.NewRecorder()
 	d.handleLoad(getRec, httptest.NewRequest(http.MethodGet, "/v1/load?app=xapian&frac=0.5", nil))
 	if getRec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET on load: %d", getRec.Code)
 	}
+}
+
+// FuzzHandleLoad drives the load endpoint with arbitrary query strings:
+// the handler must answer 200, 400 or 404, and a 200 must leave the
+// named application's load finite and inside [0,1].
+func FuzzHandleLoad(f *testing.F) {
+	for _, q := range []string{
+		"app=xapian&frac=0.9", "app=xapian&frac=NaN", "app=xapian&frac=-0",
+		"app=xapian&frac=1e-320", "app=xapian&frac=+Inf", "app=ghost&frac=0.5",
+		"app=xapian&app=ghost&frac=1", "frac=0.5", "app=xapian&frac=0x1p-2", "%zz",
+	} {
+		f.Add(q)
+	}
+	d, err := newDaemon("unmanaged", "xapian:0.3+stream", 1, 500, 0.8, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/load", nil)
+		req.URL.RawQuery = q
+		rec := httptest.NewRecorder()
+		d.handleLoad(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			app := req.URL.Query().Get("app")
+			ld, ok := d.loads[app]
+			if !ok {
+				t.Fatalf("query %q: 200 for unknown app %q", q, app)
+			}
+			if v := ld.At(0); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
+				t.Fatalf("query %q: load %g accepted", q, v)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("query %q: status %d", q, rec.Code)
+		}
+	})
 }
 
 func TestSanitize(t *testing.T) {

@@ -36,11 +36,6 @@ func TestChaosRejectsIncompatibleConfig(t *testing.T) {
 	if _, err := Run(cfg, quickOpts()); err == nil {
 		t.Error("FleetPlan with NodeSeed accepted, want error")
 	}
-	cfg = chaosConfig(1, "crash@6x3/nodes=2", true)
-	cfg.KeepResults = true
-	if _, err := Run(cfg, quickOpts()); err == nil {
-		t.Error("FleetPlan with KeepResults accepted, want error")
-	}
 }
 
 // TestChaosDeterministicAcrossParallelism is the chaos analogue of the
@@ -51,9 +46,7 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 	const plan = "crash@6x3/nodes=2,degrade@5+/nodes=1,blackout@7x2/nodes=2"
 	var views []Result
 	for _, parallel := range []int{1, 0, 7} {
-		cfg := chaosConfig(parallel, plan, true)
-		cfg.DedupIdenticalNodes = true
-		res, err := Run(cfg, quickOpts())
+		res, err := Run(chaosConfig(parallel, plan, true), quickOpts())
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}
@@ -83,7 +76,6 @@ func TestChaosDeterministicWithNodeCache(t *testing.T) {
 	cache := NewNodeCache()
 	run := func() *Result {
 		cfg := chaosConfig(3, "crash@6x3/nodes=2,blackout@7x2/nodes=2", true)
-		cfg.DedupIdenticalNodes = true
 		cfg.NodeCache = cache
 		cfg.StrategyDigest = "arq:default"
 		res, err := Run(cfg, quickOpts())
@@ -254,6 +246,30 @@ func TestRunAbsorbsNodeError(t *testing.T) {
 	}
 }
 
+// TestChaosAbsorbsNodeError is TestRunAbsorbsNodeError under a FleetPlan:
+// a unit whose simulation errors must keep its dead epochs in the node
+// summary and the fleet counters, exactly as it does without a plan. The
+// blackout cuts no phase, so the broken node is one unit over the whole
+// 14-epoch horizon.
+func TestChaosAbsorbsNodeError(t *testing.T) {
+	cfg := chaosConfig(2, "blackout@6x2/node=0", false)
+	cfg.Placement[3] = []sim.AppConfig{{}}
+	res, err := Run(cfg, quickOpts())
+	if err != nil {
+		t.Fatalf("chaos run aborted on a single broken node: %v", err)
+	}
+	s := res.Summaries[3]
+	if !s.Failed || s.DownEpochs != 14 || s.Epochs != 10 {
+		t.Errorf("broken node Failed=%v DownEpochs=%d Epochs=%d, want true/14/10", s.Failed, s.DownEpochs, s.Epochs)
+	}
+	if res.Stats.FailedNodes != 1 || res.Stats.DownEpochs != 14 {
+		t.Errorf("fleet FailedNodes=%d DownEpochs=%d, want 1/14", res.Stats.FailedNodes, res.Stats.DownEpochs)
+	}
+	if math.IsNaN(res.GlobalES) {
+		t.Error("global E_S is NaN with one absorbed failure")
+	}
+}
+
 // TestRunDrainsFuturesOnError pins the drain contract: when a shard
 // fails, Run still waits for every submitted shard before returning the
 // first error — no goroutine may outlive the call.
@@ -271,7 +287,7 @@ func TestRunDrainsFuturesOnError(t *testing.T) {
 	if _, err := Run(cfg, quickOpts()); err == nil {
 		t.Fatal("injected shard failure did not surface")
 	}
-	// 8 single-node classes over 4 workers.
+	// 8 single-unit groups over 4 workers.
 	want := int32(shardsFor(8, 4))
 	if got := calls.Load(); got != want {
 		t.Errorf("Run returned after %d of %d shards completed; futures not drained", got, want)
@@ -280,7 +296,7 @@ func TestRunDrainsFuturesOnError(t *testing.T) {
 
 // TestNodeCacheDropsErroredEntry is the negative-caching regression: an
 // in-flight entry that completes with an error must release its waiters
-// with that error and then leave the cache, so the class is re-simulated
+// with that error and then leave the cache, so the unit is re-simulated
 // rather than replayed as an empty success.
 func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	c := NewNodeCache()
@@ -292,7 +308,7 @@ func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	if !ok || w != e {
 		t.Fatal("in-flight entry not visible to lookup")
 	}
-	c.publish("k", e, classOut{}, errors.New("boom"))
+	c.publish("k", e, unitOut{}, errors.New("boom"))
 	if _, err := w.wait(); err == nil {
 		t.Error("waiter did not observe the publish error")
 	}
@@ -307,13 +323,13 @@ func TestNodeCacheDropsErroredEntry(t *testing.T) {
 	if !claimed {
 		t.Fatal("key not re-claimable after an errored publish")
 	}
-	c.publish("k", e2, classOut{sum: NodeSummary{Epochs: 7}}, nil)
+	c.publish("k", e2, unitOut{epochs: 7}, nil)
 	got, ok := c.lookup("k")
 	if !ok {
 		t.Fatal("successful publish not cached")
 	}
 	co, err := got.wait()
-	if err != nil || co.sum.Epochs != 7 {
-		t.Errorf("replayed entry = %+v, %v; want Epochs 7, nil", co.sum, err)
+	if err != nil || co.epochs != 7 {
+		t.Errorf("replayed entry = %+v, %v; want epochs 7, nil", co, err)
 	}
 }

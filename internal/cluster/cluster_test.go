@@ -112,9 +112,6 @@ func TestClusterRunAggregates(t *testing.T) {
 	if len(res.Summaries) != 2 {
 		t.Fatalf("got %d node summaries", len(res.Summaries))
 	}
-	if len(res.Nodes) != 0 {
-		t.Fatalf("full results retained without KeepResults: %d", len(res.Nodes))
-	}
 	for i, s := range res.Summaries {
 		if s.Node != i {
 			t.Errorf("summary %d is for node %d; merge order broken", i, s.Node)
@@ -143,39 +140,6 @@ func TestClusterRunAggregates(t *testing.T) {
 	}
 	if v := res.ViolationRate(); v < 0 || v > 1 {
 		t.Errorf("violation rate = %g", v)
-	}
-}
-
-// TestKeepResultsMatchesSummaries pins that the streaming summaries carry
-// the same values callers previously read off the full per-node results.
-func TestKeepResultsMatchesSummaries(t *testing.T) {
-	placement, err := Balanced(fleetApps(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Spec:        machine.DefaultSpec(),
-		Seed:        1,
-		NewStrategy: func(int) sched.Strategy { return arq.Default() },
-		Placement:   placement,
-		KeepResults: true,
-	}
-	res, err := Run(cfg, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 2 {
-		t.Fatalf("KeepResults retained %d node results", len(res.Nodes))
-	}
-	for i, nr := range res.Nodes {
-		if nr.Node != i {
-			t.Errorf("node result %d is for node %d", i, nr.Node)
-		}
-		s := res.Summaries[i]
-		if s.ES != nr.Result.RunES || s.Yield != nr.Result.Yield ||
-			s.ViolationEpochs != nr.Result.TotalViolationEpochs || s.Epochs != nr.Result.Epochs {
-			t.Errorf("node %d summary diverges from its full result: %+v", i, s)
-		}
 	}
 }
 

@@ -6,9 +6,11 @@ package cluster
 // scheduling — everything a caller can print must not.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"ahq/internal/core"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
@@ -67,58 +69,100 @@ func TestFleetDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestDedupMatchesFullSimulation pins the node-dedup contract: under a
-// common-random-numbers seed policy, running one representative per node
-// class and replicating it is bit-identical to simulating every node.
-func TestDedupMatchesFullSimulation(t *testing.T) {
-	build := func(dedup bool) Config {
-		// Eight nodes drawn from two templates, all on one seed.
-		a := []sim.AppConfig{lcAt("xapian", 0.5), beApp("stream")}
-		b := []sim.AppConfig{lcAt("moses", 0.35), lcAt("silo", 0.2), beApp("fluidanimate")}
-		placement := [][]sim.AppConfig{a, b, a, b, a, b, a, b}
-		return Config{
-			Spec:                machine.DefaultSpec(),
-			Seed:                9,
-			NewStrategy:         func(int) sched.Strategy { return arq.Default() },
-			Placement:           placement,
-			NodeSeed:            func(int) int64 { return 9 },
-			DedupIdenticalNodes: dedup,
-		}
+// TestRunMatchesPerNodeOracle pins the fleet engine against the
+// single-node path it is built from: every node summary must equal — bit
+// for bit — what sim.New + core.Run report for that node driven on its
+// own. It covers the default per-node seeds (every node its own
+// simulation) and a common-random-numbers fleet of eight nodes over two
+// templates on one seed, where the engine must simulate each template
+// once and replicate the record.
+func TestRunMatchesPerNodeOracle(t *testing.T) {
+	a := []sim.AppConfig{lcAt("xapian", 0.5), beApp("stream")}
+	b := []sim.AppConfig{lcAt("moses", 0.35), lcAt("silo", 0.2), beApp("fluidanimate")}
+	crn := Config{
+		Spec:        machine.DefaultSpec(),
+		Seed:        9,
+		NewStrategy: func(int) sched.Strategy { return arq.Default() },
+		Placement:   [][]sim.AppConfig{a, b, a, b, a, b, a, b},
+		NodeSeed:    func(int) int64 { return 9 },
 	}
-	full, err := Run(build(false), quickOpts())
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		simulated int
+	}{
+		{"distinct-seeds", fleetConfig(2), 8},
+		{"crn-two-templates", crn, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg, quickOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.NodesSimulated != tc.simulated || res.Stats.NodesRun != 8 {
+				t.Errorf("simulated %d of %d nodes, want %d of 8",
+					res.Stats.NodesSimulated, res.Stats.NodesRun, tc.simulated)
+			}
+			for i, apps := range tc.cfg.Placement {
+				engine, err := sim.New(sim.Config{Spec: tc.cfg.Spec, Seed: nodeSeed(&tc.cfg, i), Apps: uniquify(apps)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.Run(engine, tc.cfg.NewStrategy(i), quickOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.Summaries[i]
+				if got.ELC != want.RunELC || got.EBE != want.RunEBE || got.ES != want.RunES ||
+					got.Yield != want.Yield || got.ViolationEpochs != want.TotalViolationEpochs ||
+					got.Epochs != want.Epochs || got.Incidents != len(want.Incidents) {
+					t.Errorf("node %d summary %+v diverges from its single-node run (E_LC %v E_BE %v E_S %v yield %v viol %d epochs %d incidents %d)",
+						i, got, want.RunELC, want.RunEBE, want.RunES, want.Yield,
+						want.TotalViolationEpochs, want.Epochs, len(want.Incidents))
+				}
+			}
+		})
+	}
+}
+
+// TestIdenticalFleetSimulatesOnce: a fleet of N identical nodes on one
+// seed is one simulation, and its datacenter E_S is that node's E_S.
+func TestIdenticalFleetSimulatesOnce(t *testing.T) {
+	const n = 16
+	node := []sim.AppConfig{lcAt("xapian", 0.5), lcAt("moses", 0.2), beApp("stream")}
+	placement := make([][]sim.AppConfig, n)
+	for i := range placement {
+		placement[i] = node
+	}
+	res, err := Run(Config{
+		Spec:        machine.DefaultSpec(),
+		Seed:        4,
+		NewStrategy: func(int) sched.Strategy { return arq.Default() },
+		Placement:   placement,
+		NodeSeed:    func(int) int64 { return 4 },
+		Parallel:    3,
+	}, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deduped, err := Run(build(true), quickOpts())
-	if err != nil {
-		t.Fatal(err)
+	if res.Stats.NodesSimulated != 1 {
+		t.Errorf("identical fleet simulated %d times, want 1", res.Stats.NodesSimulated)
 	}
-	if !reflect.DeepEqual(deterministicView(full), deterministicView(deduped)) {
-		t.Error("deduped fleet diverged from the fully simulated one")
-	}
-	if full.Stats.NodesSimulated != 8 {
-		t.Errorf("full run simulated %d of 8 nodes", full.Stats.NodesSimulated)
-	}
-	if deduped.Stats.NodesSimulated != 2 {
-		t.Errorf("dedup simulated %d classes, want 2", deduped.Stats.NodesSimulated)
-	}
-	if deduped.Stats.NodesRun != 8 {
-		t.Errorf("dedup reports %d logical nodes, want 8", deduped.Stats.NodesRun)
+	if d := math.Abs(res.GlobalES - res.Summaries[0].ES); d > 1e-12 {
+		t.Errorf("global E_S %v differs from node E_S %v by %g", res.GlobalES, res.Summaries[0].ES, d)
 	}
 }
 
 // TestDedupRespectsDistinctSeeds pins that the default seed policy keeps
-// every node a singleton class even with dedup requested: distinct seeds
-// mean distinct simulations, and dedup must never merge them.
+// every node its own simulation: distinct seeds mean distinct
+// simulations, and grouping must never merge them.
 func TestDedupRespectsDistinctSeeds(t *testing.T) {
-	cfg := fleetConfig(2)
-	cfg.DedupIdenticalNodes = true
-	res, err := Run(cfg, quickOpts())
+	res, err := Run(fleetConfig(2), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.NodesSimulated != res.Stats.NodesRun {
-		t.Errorf("dedup merged nodes with distinct seeds: %d simulated of %d",
+		t.Errorf("grouping merged nodes with distinct seeds: %d simulated of %d",
 			res.Stats.NodesSimulated, res.Stats.NodesRun)
 	}
 }

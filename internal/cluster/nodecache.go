@@ -7,22 +7,22 @@ package cluster
 // population is a small catalog of service templates at quantised load
 // steps, so two placements (and two fleet sizes) keep producing nodes
 // whose simulations are bit-for-bit the same computation. Within a single
-// cluster.Run the DedupIdenticalNodes classing already collapses them;
-// across Runs every placement re-simulated everything.
+// cluster.Run the engine groups equal units and simulates each group once;
+// across Runs every placement would re-simulate everything.
 //
 // NodeCache extends the collapse to the whole sweep: a concurrency-safe,
-// sharded, bounded, content-addressed cache of *completed node
-// simulations*. The key is a bit-exact serialisation of every input a node
-// simulation reads — machine spec, core.Options, RI, the engine tunables, a
-// caller-supplied strategy identity digest, the node seed, and the
-// canonical application template list, floats encoded by their IEEE-754
-// bit patterns — and the value is the node's classOut (summary template
-// plus entropy samples). A hit therefore replays the exact record the
-// identical computation produced elsewhere, and output stays byte-identical
-// by construction; only wall time changes. Entries are published through a
-// single-flight protocol: the first goroutine to reach a key claims it and
-// simulates, racers wait on the entry's done channel instead of
-// duplicating the work.
+// sharded, bounded, content-addressed cache of *completed unit
+// simulations*. The key is appendUnitKey's bit-exact serialisation
+// of every input a unit simulation reads: machine spec, core.Options, RI,
+// the engine tunables, a caller-supplied strategy identity digest, the
+// blackout plan, the seed, and the application template list, floats
+// encoded by their IEEE-754 bit patterns — and the value is the unit's
+// unitOut (summary counters plus entropy samples). A hit therefore replays
+// the exact record the identical computation produced elsewhere, and
+// output stays byte-identical by construction; only wall time changes.
+// Entries are published through a single-flight protocol: the first
+// goroutine to reach a key claims it and simulates, racers wait on the
+// entry's done channel instead of duplicating the work.
 //
 // The strategy digest is the one key component the engine cannot derive
 // itself: Config.NewStrategy is an opaque factory, so the caller must
@@ -35,7 +35,6 @@ import (
 	"sort"
 	"sync"
 
-	"ahq/internal/core"
 	"ahq/internal/sim"
 )
 
@@ -70,8 +69,8 @@ type nodeCacheShard struct {
 // everyone else waits on done before reading, so the fields need no lock.
 type nodeCacheEntry struct {
 	done chan struct{}
-	out  classOut // guarded by done
-	err  error    // guarded by done
+	out  unitOut // guarded by done
+	err  error   // guarded by done
 }
 
 // NodeCacheStats counts cache traffic. Hits and misses depend only on the
@@ -180,7 +179,7 @@ func (c *NodeCache) claim(key string) (e *nodeCacheEntry, claimed bool) {
 
 // complete publishes a claimed entry's simulation outcome and wakes every
 // waiter.
-func (e *nodeCacheEntry) complete(out classOut, err error) {
+func (e *nodeCacheEntry) complete(out unitOut, err error) {
 	e.out, e.err = out, err
 	close(e.done)
 }
@@ -189,11 +188,11 @@ func (e *nodeCacheEntry) complete(out classOut, err error) {
 // drops the entry from its shard after the waiters are released. Errors
 // must not be cached: a permanently published error would poison the
 // content-address for the whole sweep, replaying the failure as a hit on
-// every later lookup, when the right behaviour is to let the class be
+// every later lookup, when the right behaviour is to let the unit be
 // re-simulated (the engine absorbs the failure into a dead record either
 // way, but a transient claimant bug must not become a sweep-wide fact).
 // The identity check keeps a racing re-claimant's fresh entry intact.
-func (c *NodeCache) publish(key string, e *nodeCacheEntry, out classOut, err error) {
+func (c *NodeCache) publish(key string, e *nodeCacheEntry, out unitOut, err error) {
 	e.complete(out, err)
 	if err == nil {
 		return
@@ -207,7 +206,7 @@ func (c *NodeCache) publish(key string, e *nodeCacheEntry, out classOut, err err
 }
 
 // wait blocks until the entry is published and returns its outcome.
-func (e *nodeCacheEntry) wait() (classOut, error) {
+func (e *nodeCacheEntry) wait() (unitOut, error) {
 	<-e.done
 	return e.out, e.err
 }
@@ -215,67 +214,65 @@ func (e *nodeCacheEntry) wait() (classOut, error) {
 // templateKey canonically serialises one node's application template — the
 // Apps slice a node simulation would be constructed with, in order. It
 // reports ok=false when some application is not key-serialisable (a load
-// profile outside trace's catalog); such nodes are simulated uncached and,
-// under DedupIdenticalNodes, never grouped with any other node.
+// profile outside trace's catalog); such units are simulated uncached and
+// never grouped with any other unit.
 func templateKey(apps []sim.AppConfig) (key []byte, ok bool) {
-	b := make([]byte, 0, 96*len(apps))
+	return appendTemplateKey(make([]byte, 0, 96*len(apps)), apps)
+}
+
+// appendTemplateKey appends templateKey's serialisation to b.
+func appendTemplateKey(b []byte, apps []sim.AppConfig) (_ []byte, ok bool) {
 	b = sim.AppendKeyInt(b, len(apps))
 	for _, a := range apps {
-		var aok bool
-		if b, aok = sim.AppendAppKey(b, a); !aok {
+		if b, ok = sim.AppendAppKey(b, a); !ok {
 			return nil, false
 		}
 	}
 	return b, true
 }
 
-// nodeKeyPrefix serialises the per-Run node-simulation inputs shared by
-// every node of the fleet: the machine spec, the controller options
-// (post-default, so spelling a default explicitly cannot split the key),
-// the aggregation RI, the engine tunables the cluster engine runs
-// (DefaultTunables — cluster.Run constructs its engines without overrides,
-// and the serialisation pins that assumption), and the caller's strategy
-// identity digest. The per-node seed and template are appended by nodeKey.
-func nodeKeyPrefix(cfg *Config, opts core.Options, ri float64) []byte {
-	opts = opts.WithDefaults()
-	b := make([]byte, 0, 256)
-	b = sim.AppendKeyInt(b, cfg.Spec.Cores)
-	b = sim.AppendKeyInt(b, cfg.Spec.LLCWays)
-	b = sim.AppendKeyInt(b, cfg.Spec.MemBWUnits)
-	b = sim.AppendKeyFloat(b, cfg.Spec.MemBWGBps)
-	b = sim.AppendKeyFloat(b, opts.EpochMs)
-	b = sim.AppendKeyFloat(b, opts.WarmupMs)
-	b = sim.AppendKeyFloat(b, opts.DurationMs)
-	b = sim.AppendKeyFloat(b, opts.RI)
-	if opts.RecordTimeline {
+// appendUnitKey appends a unit's content address to b: a serialisation of
+// every input the unit's simulation reads, used both to group equal units
+// within a Run and as the NodeCache key across Runs. It covers capacity,
+// controller options (post-default, so spelling a default explicitly
+// cannot split the key), the aggregation RI, the engine tunables the
+// cluster engine runs (DefaultTunables — Run constructs its engines
+// without overrides, and the serialisation pins that assumption), the
+// strategy digest, the blackout plan, the seed, and the application
+// template. It reports ok=false when the template is not
+// key-serialisable.
+func appendUnitKey(b []byte, cfg *Config, u simUnit, ri float64) (_ []byte, ok bool) {
+	o := u.opts.WithDefaults()
+	b = sim.AppendKeyInt(b, u.spec.Cores)
+	b = sim.AppendKeyInt(b, u.spec.LLCWays)
+	b = sim.AppendKeyInt(b, u.spec.MemBWUnits)
+	b = sim.AppendKeyFloat(b, u.spec.MemBWGBps)
+	b = sim.AppendKeyFloat(b, o.EpochMs)
+	b = sim.AppendKeyFloat(b, o.WarmupMs)
+	b = sim.AppendKeyFloat(b, o.DurationMs)
+	b = sim.AppendKeyFloat(b, o.RI)
+	if o.RecordTimeline {
 		b = append(b, 'T')
 	}
 	b = sim.AppendKeyFloat(b, ri)
 	b = sim.AppendTunablesKey(b, sim.DefaultTunables())
 	b = sim.AppendKeyString(b, cfg.StrategyDigest)
-	return append(b, '|')
-}
-
-// nodeKey completes a class's cache key: the Run-level prefix, the class
-// seed, and the canonical template serialisation.
-func nodeKey(prefix []byte, seed int64, template string) string {
-	b := make([]byte, 0, len(prefix)+20+len(template))
-	b = append(b, prefix...)
-	b = sim.AppendKeyInt64(b, seed)
-	b = append(b, template...)
-	return string(b)
+	b = sim.AppendKeyString(b, u.blackout.String())
+	b = sim.AppendKeyInt64(b, u.seed)
+	b = append(b, '|')
+	return appendTemplateKey(b, u.apps)
 }
 
 // TemplateSeed derives a node seed from the node's application template:
 // equal templates get equal seeds, which is the common-random-numbers
 // policy screening sweeps want — identical node contents become identical
-// simulations, so DedupIdenticalNodes can collapse them within a Run and a
-// NodeCache can replay them across Runs. The base seed perturbs the whole
+// simulations, so Run simulates them once and a NodeCache can replay them
+// across Runs. The base seed perturbs the whole
 // assignment, so distinct sweeps stay independent. Templates that are not
 // key-serialisable fall back to a name-signature hash: still deterministic
 // and still CRN across equal-looking nodes, merely coarser (seeds may
 // coincide across templates that differ only in unserialisable state,
-// which is harmless — the classing layer never groups such nodes).
+// which is harmless — Run never groups such nodes).
 func TemplateSeed(base int64, apps []sim.AppConfig) int64 {
 	h := uint64(14695981039346656037)
 	mix := func(bs []byte) {
@@ -306,8 +303,8 @@ func TemplateSeed(base int64, apps []sim.AppConfig) int64 {
 // strategies emit the same node content in whatever order their internals
 // happened to append it; a sweep that canonicalises each node before
 // simulating makes "same multiset of applications" mean "same simulation",
-// which is what lets dedup and the NodeCache recognise recurrences across
-// placements. The input slice is not modified.
+// which is what lets Run's grouping and the NodeCache recognise
+// recurrences across placements. The input slice is not modified.
 func CanonicalOrder(apps []sim.AppConfig) []sim.AppConfig {
 	if len(apps) < 2 {
 		return apps

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ahq/internal/core"
+	"ahq/internal/faults"
 	"ahq/internal/machine"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
@@ -21,7 +22,7 @@ import (
 )
 
 // cachedFleetConfig is a small CRN fleet whose contents recur: four nodes
-// over two templates, content-derived seeds, dedup on.
+// over two templates, content-derived seeds.
 func cachedFleetConfig(cache *NodeCache) Config {
 	a := []sim.AppConfig{lcAt("xapian", 0.5), beApp("stream")}
 	b := []sim.AppConfig{lcAt("moses", 0.35), lcAt("silo", 0.2), beApp("fluidanimate")}
@@ -31,14 +32,13 @@ func cachedFleetConfig(cache *NodeCache) Config {
 		seeds[i] = TemplateSeed(11, placement[i])
 	}
 	return Config{
-		Spec:                machine.DefaultSpec(),
-		Seed:                11,
-		NewStrategy:         func(int) sched.Strategy { return arq.Default() },
-		Placement:           placement,
-		NodeSeed:            func(i int) int64 { return seeds[i] },
-		DedupIdenticalNodes: true,
-		NodeCache:           cache,
-		StrategyDigest:      "arq:default",
+		Spec:           machine.DefaultSpec(),
+		Seed:           11,
+		NewStrategy:    func(int) sched.Strategy { return arq.Default() },
+		Placement:      placement,
+		NodeSeed:       func(i int) int64 { return seeds[i] },
+		NodeCache:      cache,
+		StrategyDigest: "arq:default",
 	}
 }
 
@@ -60,10 +60,10 @@ func TestNodeCacheHitIsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if second.Stats.NodeCacheHits != 2 {
-		t.Errorf("warm run replayed %d classes, want 2", second.Stats.NodeCacheHits)
+		t.Errorf("warm run replayed %d groups, want 2", second.Stats.NodeCacheHits)
 	}
 	if second.Stats.NodesSimulated != 0 {
-		t.Errorf("warm run simulated %d classes, want 0", second.Stats.NodesSimulated)
+		t.Errorf("warm run simulated %d groups, want 0", second.Stats.NodesSimulated)
 	}
 	uncached, err := Run(cachedFleetConfig(nil), quickOpts())
 	if err != nil {
@@ -140,11 +140,6 @@ func TestNodeCacheRequiresStrategyDigest(t *testing.T) {
 	if _, err := Run(cfg, quickOpts()); err == nil {
 		t.Error("NodeCache without StrategyDigest was accepted")
 	}
-	cfg = cachedFleetConfig(NewNodeCache())
-	cfg.KeepResults = true
-	if _, err := Run(cfg, quickOpts()); err == nil {
-		t.Error("NodeCache with KeepResults was accepted")
-	}
 }
 
 // TestNodeCacheBounded pins boundedness at the shard protocol level: once
@@ -164,7 +159,7 @@ func TestNodeCacheBounded(t *testing.T) {
 		if !claimed {
 			t.Fatalf("fresh key %q not claimed", key)
 		}
-		e.complete(classOut{}, nil)
+		e.complete(unitOut{}, nil)
 		inserted++
 	}
 	before := c.Len()
@@ -202,16 +197,16 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 		wg      sync.WaitGroup
 		mu      sync.Mutex
 		claims  int
-		results []float64 // guarded by mu
+		results []int // guarded by mu
 	)
-	want := classOut{sum: NodeSummary{ES: 0.125}}
+	want := unitOut{epochs: 125}
 	start := make(chan struct{})
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			var co classOut
+			var co unitOut
 			if e, ok := c.lookup("contested"); ok {
 				co, _ = e.wait()
 			} else if e, claimed := c.claim("contested"); claimed {
@@ -227,7 +222,7 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			results = append(results, co.sum.ES)
+			results = append(results, co.epochs)
 			mu.Unlock()
 		}()
 	}
@@ -239,9 +234,9 @@ func TestNodeCacheSingleFlight(t *testing.T) {
 	if len(results) != callers {
 		t.Fatalf("%d results for %d callers", len(results), callers)
 	}
-	for _, es := range results {
-		if es != want.sum.ES {
-			t.Errorf("caller observed ES=%v, want %v", es, want.sum.ES)
+	for _, got := range results {
+		if got != want.epochs {
+			t.Errorf("caller observed epochs=%d, want %d", got, want.epochs)
 		}
 	}
 }
@@ -277,37 +272,47 @@ func TestNodeCacheConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestNodeClassesDigestGrouping is the regression test for the classing
-// rewrite: many templates sharing one name signature but differing in load
-// — the shape that made the old within-bucket reflect.DeepEqual grouping
-// quadratic — must stay distinct classes, while true duplicates group, in
-// one linear digest pass.
-func TestNodeClassesDigestGrouping(t *testing.T) {
+// TestUnitGroupingByContent is the regression test for the grouping
+// key: many templates sharing one name signature but differing in load —
+// the shape that once made grouping quadratic — must stay distinct groups,
+// while true duplicates group, in one linear key pass.
+func TestUnitGroupingByContent(t *testing.T) {
 	const distinct = 200
 	placement := make([][]sim.AppConfig, 0, 2*distinct)
 	for i := 0; i < distinct; i++ {
 		placement = append(placement, []sim.AppConfig{lcAt("xapian", float64(i+1)/float64(distinct+1))})
 	}
-	// Second copy of every template: must merge with the first.
+	// Second copy of every template: must group with the first.
 	for i := 0; i < distinct; i++ {
 		placement = append(placement, []sim.AppConfig{lcAt("xapian", float64(i+1)/float64(distinct+1))})
 	}
 	cfg := Config{
-		Placement:           placement,
-		DedupIdenticalNodes: true,
-		Seed:                3,
-		NodeSeed:            func(int) int64 { return 3 },
+		Spec:      machine.DefaultSpec(),
+		Placement: placement,
+		Seed:      3,
+		NodeSeed:  func(int) int64 { return 3 },
 	}
-	classes := nodeClasses(&cfg)
-	if len(classes) != distinct {
-		t.Fatalf("grouped %d nodes into %d classes, want %d", len(placement), len(classes), distinct)
+	opts := quickOpts()
+	const total = 14
+	sched := supervise(&faults.FleetPlan{}, placement, cfg.Spec, false, total)
+	refs, groups := buildUnits(&cfg, &faults.FleetPlan{}, sched, phaseShapes(sched.phases, opts, total), 0.8)
+	if len(refs) != len(placement) {
+		t.Fatalf("built %d units for %d nodes", len(refs), len(placement))
 	}
-	for ci, c := range classes {
-		if len(c.members) != 2 {
-			t.Errorf("class %d has %d members, want 2", ci, len(c.members))
+	if len(groups) != distinct {
+		t.Fatalf("grouped %d nodes into %d groups, want %d", len(placement), len(groups), distinct)
+	}
+	for i, r := range refs {
+		if r.node != i || r.group != i%distinct {
+			t.Errorf("unit %d = node %d group %d, want node %d group %d", i, r.node, r.group, i, i%distinct)
 		}
-		if c.members[0] != ci || c.members[1] != ci+distinct {
-			t.Errorf("class %d members = %v, want [%d %d]", ci, c.members, ci, ci+distinct)
+	}
+	for g, su := range groups {
+		if su.unit.node != g {
+			t.Errorf("group %d represented by node %d, want its first member %d", g, su.unit.node, g)
+		}
+		if su.key != "" {
+			t.Errorf("group %d carries a cache key without a NodeCache", g)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package cluster
 
-// The fleet supervisor turns a resolved faults.FleetPlan into a phase
-// schedule the chaos engine (chaos.go) can simulate: it walks the run's
-// epochs, applies every crash, restart and degrade the plan dictates, and
-// — under Config.ReplaceEvicted — evicts a crashed node's applications and
+// The fleet supervisor turns a resolved faults.FleetPlan into the phase
+// schedule Run simulates (an empty plan is one phase over the whole
+// horizon holding the caller's placement): it walks the run's epochs,
+// applies every crash, restart and degrade the plan dictates, and —
+// under Config.ReplaceEvicted — evicts a crashed node's applications and
 // re-places them onto surviving nodes through the same interference scorer
 // the Scored placement uses. The walk is pure sequential float/int math
 // over the plan and the initial placement, so the schedule (and everything
@@ -106,8 +107,8 @@ func addAppLoad(st *nodeLoad, app sim.AppConfig) {
 
 // supervise walks the run's epochs under the resolved plan and returns the
 // phase schedule. The plan must be resolved; totalEpochs covers warm-up
-// plus the measured horizon (the supervisor is warm-up-agnostic — the
-// chaos engine weighs phases by their measured overlap).
+// plus the measured horizon (the supervisor is warm-up-agnostic — Run
+// weighs phases by their measured overlap).
 func supervise(plan *faults.FleetPlan, placement [][]sim.AppConfig, spec machine.Spec, replace bool, totalEpochs int) *fleetSchedule {
 	n := len(placement)
 	cur := append([][]sim.AppConfig(nil), placement...)

@@ -13,7 +13,7 @@ func init() {
 	register(Descriptor{
 		ID:    "chaos",
 		Title: "Graceful degradation under injected faults (robustness extension)",
-		Run:   runChaos,
+		Run:   runControllerChaos,
 	})
 }
 
@@ -40,11 +40,11 @@ type chaosRun struct {
 	stats faults.Stats
 }
 
-// runChaosMix drives one strategy through one fault scenario on the
-// standard Stream mix: the engine and the strategy are wrapped by one
+// runControllerChaosMix drives one strategy through one fault scenario on
+// the standard Stream mix: the engine and the strategy are wrapped by one
 // injector, so the run's Result.Incidents must account exactly for the
 // injector's Stats — checked by the caller.
-func runChaosMix(cfg RunConfig, planSpec string, f StrategyFactory) (chaosRun, error) {
+func runControllerChaosMix(cfg RunConfig, planSpec string, f StrategyFactory) (chaosRun, error) {
 	plan, err := faults.Parse(planSpec)
 	if err != nil {
 		return chaosRun{}, err
@@ -97,10 +97,10 @@ func accountingError(r chaosRun) error {
 	return nil
 }
 
-// runChaos sweeps fault scenarios x strategies and reports how E_S and
-// QoS-violation epochs degrade under faults, plus the incident accounting
-// that proves the controller survived them observably.
-func runChaos(cfg RunConfig) (*Result, error) {
+// runControllerChaos sweeps fault scenarios x strategies and reports how
+// E_S and QoS-violation epochs degrade under faults, plus the incident
+// accounting that proves the controller survived them observably.
+func runControllerChaos(cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "chaos", Title: "Graceful degradation under injected faults"}
 
 	plans := Table{
@@ -128,7 +128,7 @@ func runChaos(cfg RunConfig) (*Result, error) {
 		for _, sc := range chaosScenarios {
 			sc := sc
 			futs[name][sc.name] = submit(p, func() (chaosRun, error) {
-				return runChaosMix(cfg, sc.plan, f)
+				return runControllerChaosMix(cfg, sc.plan, f)
 			})
 		}
 	}
