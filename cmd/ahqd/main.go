@@ -1,7 +1,8 @@
 // Command ahqd runs the Ah-Q controller as a daemon over a simulated node
 // and exposes its state through an HTTP JSON API — the deployment shape a
 // production Ah-Q would have, with the simulator standing in for the
-// RDT-capable host.
+// RDT-capable host. It steps the same core.Controller that core.Run drives,
+// so the daemon degrades under faults exactly as the experiments do.
 //
 // Usage:
 //
@@ -9,19 +10,25 @@
 //
 // Endpoints:
 //
-//	GET /v1/status      controller status: epoch, entropies, mean E_S
+//	GET /v1/status      controller status: epoch, entropies, counters, and
+//	                    the mean E_S over the epochs /v1/history holds
 //	GET /v1/telemetry   last epoch's per-application windows
 //	GET /v1/allocation  current allocation and its RDT (CAT/MBA) plan
 //	GET /v1/entropy     last epoch's entropy report
 //	GET /v1/contention  per-application cores/ways/slowdown snapshot
-//	GET /v1/history     ring buffer of the last 256 epochs
-//	GET /metrics        Prometheus text exposition of the same signals
+//	GET /v1/history     ring buffer of the last 256 epochs, with incidents
+//	GET /metrics        Prometheus text exposition of the same signals and
+//	                    the incident, degraded-epoch and down-epoch counters
 //	POST /v1/load?app=xapian&frac=0.7   change an application's offered load
 //
 // An LC load of the form "@file.csv" in -mix replays a recorded trace
 // (see cmd/ahqload). The daemon advances simulated time in real time (one
 // 500 ms epoch per 500 ms of wall clock) unless -fast is given, in which
 // case it free-runs.
+//
+// -chaos-plan epochs count controller epochs, the epochs the node was up;
+// -fleet-plan epochs count wall epochs, including the ones a crash holds
+// the node down for.
 package main
 
 import (
@@ -64,9 +71,9 @@ func main() {
 		fast    = flag.Bool("fast", false, "free-run instead of real time")
 		ri      = flag.Float64("ri", entropy.DefaultRI, "relative importance of LC applications")
 
-		chaosPlan = flag.String("chaos-plan", "", "fault plan spec (kind@epoch[xN|+],... with kinds apply|drop|stale|nan|panic)")
+		chaosPlan = flag.String("chaos-plan", "", "fault plan spec (kind@epoch[xN|+],... with kinds apply|drop|stale|nan|panic); epochs count controller epochs, the epochs the node was up")
 		chaosSeed = flag.Int64("chaos-seed", 0, "generate a random fault plan from this seed (0 = no faults; -chaos-plan wins)")
-		fleetPlan = flag.String("fleet-plan", "", "fleet fault plan spec (crash|blackout@epoch[xN|+]) applied to this node as a one-node fleet")
+		fleetPlan = flag.String("fleet-plan", "", "fleet fault plan spec (crash|blackout@epoch[xN|+]) applied to this node as a one-node fleet; epochs count wall epochs, down ones included")
 	)
 	flag.Parse()
 
@@ -101,6 +108,12 @@ func main() {
 	}
 	go d.loop(*fast)
 
+	log.Printf("ahqd: %s strategy on %s, serving %s", *strat, *mix, *listen)
+	log.Fatal(http.ListenAndServe(*listen, d.routes()))
+}
+
+// routes maps every endpoint to its handler.
+func (d *daemon) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/status", d.handleStatus)
 	mux.HandleFunc("/v1/telemetry", d.handleTelemetry)
@@ -110,8 +123,7 @@ func main() {
 	mux.HandleFunc("/v1/history", d.handleHistory)
 	mux.HandleFunc("/v1/load", d.handleLoad)
 	mux.HandleFunc("/metrics", d.handleMetrics)
-	log.Printf("ahqd: %s strategy on %s, serving %s", *strat, *mix, *listen)
-	log.Fatal(http.ListenAndServe(*listen, mux))
+	return mux
 }
 
 // mutableLoad is a trace the daemon can retarget at runtime.
@@ -137,41 +149,45 @@ const historyLen = 256
 
 // epochSummary is one epoch's compact record for the history endpoint.
 type epochSummary struct {
-	Epoch      int     `json:"epoch"`
-	SimMs      float64 `json:"sim_ms"`
-	ELC        float64 `json:"e_lc"`
-	EBE        float64 `json:"e_be"`
-	ES         float64 `json:"e_s"`
-	Violations int     `json:"violations"`
-	Allocation string  `json:"allocation"`
+	Epoch      int      `json:"epoch"`
+	SimMs      float64  `json:"sim_ms"`
+	ELC        float64  `json:"e_lc"`
+	EBE        float64  `json:"e_be"`
+	ES         float64  `json:"e_s"`
+	Violations int      `json:"violations"`
+	Allocation string   `json:"allocation"`
+	Incidents  []string `json:"incidents,omitempty"`
 }
 
+// daemon steps one core.Controller over a simulated node, one monitoring
+// epoch per wall epoch the node is up, and serves what the epochs
+// recorded. mu guards everything the epoch loop and the handlers share.
 type daemon struct {
 	mu       sync.Mutex
 	engine   *sim.Engine
-	node     core.Engine
-	host     rdt.Host
-	fhost    *faults.Host
-	strategy sched.Strategy
-	sys      entropy.System
+	node     *blackoutNode
+	ctl      *core.Controller
+	strategy string
 	epochMs  float64
+	ri       float64
 	loads    map[string]*mutableLoad
 
-	epoch     int
-	lastTel   sched.Telemetry
-	lastELC   float64
-	lastEBE   float64
-	lastES    float64
-	sumES     float64
-	measured  int
-	incidents int
-	degraded  int
-	history   []epochSummary
+	// epoch counts wall epochs, down ones included; last is the record of
+	// the most recent epoch the node was up.
+	epoch   int
+	last    core.EpochRecord
+	history []epochSummary
+
+	// Counters accumulated from the records (and, for degraded and down
+	// epochs, from the crash freeze), served by /v1/status and /metrics.
+	incidents     int
+	incidentKinds [core.NumIncidentKinds]int
+	degraded      int
 
 	// Fleet-plan state: the daemon is a one-node fleet, so crash events
-	// freeze the node (down counts, no strategy turn) and blackout events
-	// drop its telemetry. Degrades are rejected by newDaemon — the engine's
-	// capacity is fixed at construction.
+	// freeze the node (down counts, no controller step) and blackout
+	// events drop its telemetry. Degrades are rejected by newDaemon — the
+	// engine's capacity is fixed at construction.
 	fleetPlan  *faults.FleetPlan
 	appCount   int
 	wasDown    bool
@@ -180,10 +196,29 @@ type daemon struct {
 	evictions  int
 }
 
-// newDaemon builds the controller stack; a non-empty fault plan wraps the
-// node, the host and the strategy with the injector so the daemon's
-// degradation paths can be exercised end to end. A fleet plan may crash or
-// black out the node but not degrade it: a live node cannot shrink its
+// blackoutNode is the outermost layer of the daemon's node stack: it
+// delivers no windows at the fleet plan's blackout epochs. Fleet epochs
+// are wall epochs, so the daemon positions epoch before every Step.
+type blackoutNode struct {
+	core.Engine
+	plan  *faults.FleetPlan
+	epoch int
+}
+
+// RunWindow implements core.Engine: the node always advances, but a
+// blacked-out epoch's observation never reaches the controller.
+func (b *blackoutNode) RunWindow(windowMs float64) []sched.AppWindow {
+	win := b.Engine.RunWindow(windowMs)
+	if b.plan.BlackoutAt(0, b.epoch) {
+		return nil
+	}
+	return win
+}
+
+// newDaemon builds the node stack — the simulator, the fault injector when
+// the plan is non-empty (it also wraps the strategy), and the fleet-plan
+// blackout layer — and starts a controller on it. A fleet plan may crash
+// or black out the node but not degrade it: a live node cannot shrink its
 // machine spec.
 func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *faults.Plan, fleet *faults.FleetPlan) (*daemon, error) {
 	if !fleet.Empty() {
@@ -205,28 +240,25 @@ func newDaemon(stratName, mix string, seed int64, epochMs, ri float64, plan *fau
 	if err != nil {
 		return nil, err
 	}
+	var node core.Engine = engine
+	if !plan.Empty() {
+		inj := faults.NewInjector(plan)
+		node = inj.Engine(engine)
+		strategy = inj.Strategy(strategy)
+	}
 	d := &daemon{
 		engine:    engine,
-		node:      engine,
-		host:      rdt.NewSimHost(engine),
-		strategy:  strategy,
-		sys:       entropy.System{RI: ri},
+		node:      &blackoutNode{Engine: node, plan: fleet},
+		strategy:  strategy.Name(),
 		epochMs:   epochMs,
 		loads:     loads,
 		fleetPlan: fleet,
 		appCount:  len(apps),
 	}
-	if !plan.Empty() {
-		inj := faults.NewInjector(plan)
-		d.node = inj.Engine(engine)
-		d.fhost = inj.Host(rdt.NewSimHost(engine))
-		// The initial apply below predates epoch 0; plans only schedule
-		// faults from epoch 0 on, so the daemon always comes up healthy.
-		d.fhost.SetEpoch(-1)
-		d.host = d.fhost
-		d.strategy = inj.Strategy(strategy)
-	}
-	if err := d.host.Apply(d.strategy.Init(engine.Spec(), engine.AppSpecs())); err != nil {
+	// No warm-up: a daemon has no measured horizon to protect.
+	opts := core.Options{EpochMs: epochMs, WarmupMs: -1, RI: ri}
+	d.ri = opts.WithDefaults().RI
+	if d.ctl, err = core.NewController(d.node, strategy, opts); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -327,36 +359,13 @@ func (d *daemon) loop(fast bool) {
 	}
 }
 
-// decideSafe isolates Decide the way core.Run does: a panicking strategy
-// loses its turn instead of taking the daemon down.
-func decideSafe(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
-		}
-	}()
-	return s.Decide(t, cur), ""
-}
-
-// blackoutAt reports whether the fleet plan blacks out this node's
-// telemetry at the given epoch.
-func (d *daemon) blackoutAt(epoch int) bool {
-	if d.fleetPlan.Empty() {
-		return false
-	}
-	for _, ev := range d.fleetPlan.Events {
-		if ev.Kind == faults.NodeBlackout && ev.ActiveAt(epoch) && ev.Hits(0) {
-			return true
-		}
-	}
-	return false
-}
-
+// stepEpoch advances one wall epoch: a fleet-plan crash freezes the node
+// (no simulated time, no controller step, only the down accounting the
+// fleet engine keeps); otherwise the controller steps one epoch.
 func (d *daemon) stepEpoch() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// A fleet-plan crash freezes the node: no simulated time, no telemetry,
-	// no strategy turn — only the down accounting the fleet engine keeps.
+	sum := epochSummary{Epoch: d.epoch, ELC: -1, EBE: -1, ES: -1}
 	if d.fleetPlan.DownAt(0, d.epoch) {
 		if !d.wasDown {
 			log.Printf("ahqd: fleet plan crashed the node at epoch %d", d.epoch)
@@ -366,93 +375,29 @@ func (d *daemon) stepEpoch() {
 		}
 		d.downEpochs++
 		d.degraded++
-		d.history = append(d.history, epochSummary{
-			Epoch:      d.epoch,
-			SimMs:      d.engine.NowMs(),
-			ELC:        -1,
-			EBE:        -1,
-			ES:         -1,
-			Allocation: d.engine.Allocation().String(),
-		})
-		if len(d.history) > historyLen {
-			d.history = d.history[len(d.history)-historyLen:]
-		}
-		d.epoch++
-		return
-	}
-	if d.wasDown {
-		log.Printf("ahqd: node restarted at epoch %d after %d down epochs", d.epoch, d.downEpochs)
-		d.wasDown = false
-	}
-	epochOK := true
-	windows := d.node.RunWindow(d.epochMs)
-	if d.blackoutAt(d.epoch) {
-		// Whole-node telemetry blackout: the node keeps running but the
-		// controller sees nothing this epoch.
-		windows = nil
-	}
-	tel := sched.Telemetry{TimeMs: d.node.NowMs(), Epoch: d.epoch, Apps: windows}
-	if len(windows) == 0 {
-		// Dropped telemetry: hold the previous observation rather than
-		// deciding on nothing.
-		log.Printf("ahqd: telemetry dropped at epoch %d, holding previous window", d.epoch)
-		tel.Apps = d.lastTel.Apps
-		tel.TimeMs = d.lastTel.TimeMs
-		tel.ELC, tel.EBE, tel.ES = d.lastELC, d.lastEBE, d.lastES
-		d.incidents++
-		epochOK = false
 	} else {
-		lc, be := core.SamplesFromWindows(windows)
-		if elc, ebe, es, err := d.sys.Compute(lc, be); err == nil {
-			tel.ELC, tel.EBE, tel.ES = elc, ebe, es
-			d.lastELC, d.lastEBE, d.lastES = elc, ebe, es
-			d.sumES += es
-			d.measured++
-		} else {
-			tel.ELC, tel.EBE, tel.ES = math.NaN(), math.NaN(), math.NaN()
+		if d.wasDown {
+			log.Printf("ahqd: node restarted at epoch %d after %d down epochs", d.epoch, d.downEpochs)
+			d.wasDown = false
 		}
-	}
-	tel.TelemetryOK = epochOK
-	d.lastTel = tel
-	// The engine reuses the slice behind RunWindow's result on the next
-	// call; lastTel outlives this epoch (the HTTP handlers read it), so it
-	// needs its own copy.
-	d.lastTel.Apps = append([]sched.AppWindow(nil), tel.Apps...)
-	violations := 0
-	for _, w := range tel.Apps {
-		if w.Violates() {
-			violations++
+		d.node.epoch = d.epoch
+		rec := d.ctl.Step()
+		d.last = rec
+		for _, in := range rec.Incidents {
+			log.Printf("ahqd: epoch %d: %s: %s", d.epoch, in.Kind, in.Detail)
+			d.incidents++
+			d.incidentKinds[in.Kind]++
+			sum.Incidents = append(sum.Incidents, in.Kind.String())
 		}
+		if rec.Degraded {
+			d.degraded++
+		}
+		sum.ELC, sum.EBE, sum.ES = sanitize(rec.ELC), sanitize(rec.EBE), sanitize(rec.ES)
+		sum.Violations = rec.LCViolations
 	}
-	if d.fhost != nil {
-		d.fhost.SetEpoch(d.epoch)
-	}
-	next, panicMsg := decideSafe(d.strategy, tel, d.engine.Allocation())
-	if panicMsg != "" {
-		log.Printf("ahqd: strategy panicked at epoch %d, holding allocation: %s", d.epoch, panicMsg)
-		d.incidents++
-		epochOK = false
-		next = d.engine.Allocation()
-	}
-	if err := d.host.Apply(next); err != nil {
-		// The host rejects atomically, so the previous allocation is
-		// still in force; hold it and carry on.
-		log.Printf("ahqd: allocation rejected at epoch %d: %v", d.epoch, err)
-		d.incidents++
-		epochOK = false
-	}
-	if !epochOK {
-		d.degraded++
-	}
-	d.history = append(d.history, epochSummary{
-		Epoch:      d.epoch,
-		SimMs:      d.engine.NowMs(),
-		ELC:        sanitize(tel.ELC),
-		EBE:        sanitize(tel.EBE),
-		ES:         sanitize(tel.ES),
-		Violations: violations,
-		Allocation: d.engine.Allocation().String(),
-	})
+	sum.SimMs = d.engine.NowMs()
+	sum.Allocation = d.engine.Allocation().String()
+	d.history = append(d.history, sum)
 	if len(d.history) > historyLen {
 		d.history = d.history[len(d.history)-historyLen:]
 	}
@@ -471,17 +416,25 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	mean := 0.0
-	if d.measured > 0 {
-		mean = d.sumES / float64(d.measured)
+	// mean_e_s averages the known E_S values (the node up, an entropy
+	// computed or held) over the epochs /v1/history still holds.
+	mean, n := 0.0, 0
+	for _, h := range d.history {
+		if h.ES >= 0 {
+			mean += h.ES
+			n++
+		}
+	}
+	if n > 0 {
+		mean /= float64(n)
 	}
 	writeJSON(w, map[string]interface{}{
-		"strategy":        d.strategy.Name(),
+		"strategy":        d.strategy,
 		"epoch":           d.epoch,
 		"sim_ms":          d.engine.NowMs(),
-		"e_lc":            d.lastELC,
-		"e_be":            d.lastEBE,
-		"e_s":             d.lastES,
+		"e_lc":            sanitize(d.last.ELC),
+		"e_be":            sanitize(d.last.EBE),
+		"e_s":             sanitize(d.last.ES),
 		"mean_e_s":        mean,
 		"incidents":       d.incidents,
 		"degraded_epochs": d.degraded,
@@ -506,7 +459,7 @@ func (d *daemon) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
 		SoloIPC   float64 `json:"solo_ipc,omitempty"`
 	}
 	var out []appJSON
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		j := appJSON{Name: a.Spec.Name, Class: a.Spec.Class.String()}
 		if a.Spec.Class == workload.LC {
 			j.P95Ms, j.TargetMs = sanitize(a.P95Ms), a.Spec.QoSTargetMs
@@ -539,10 +492,10 @@ func (d *daemon) handleEntropy(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	writeJSON(w, map[string]interface{}{
-		"e_lc": sanitize(d.lastELC),
-		"e_be": sanitize(d.lastEBE),
-		"e_s":  sanitize(d.lastES),
-		"ri":   d.sys.RI,
+		"e_lc": sanitize(d.last.ELC),
+		"e_be": sanitize(d.last.EBE),
+		"e_s":  sanitize(d.last.ES),
+		"ri":   d.ri,
 	})
 }
 
@@ -575,35 +528,46 @@ func (d *daemon) handleContention(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleMetrics exposes the entropy signals and per-application telemetry
-// in Prometheus text exposition format, so a scraper can chart the
-// controller the way the paper's Fig. 13 does.
+// handleMetrics exposes the entropy signals, per-application telemetry and
+// the controller's counters in Prometheus text exposition format, so a
+// scraper can chart the controller the way the paper's Fig. 13 does.
 func (d *daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# HELP ahq_entropy System entropy components (dimensionless, 0-1).\n")
 	fmt.Fprintf(w, "# TYPE ahq_entropy gauge\n")
-	fmt.Fprintf(w, "ahq_entropy{component=\"lc\"} %g\n", sanitize(d.lastELC))
-	fmt.Fprintf(w, "ahq_entropy{component=\"be\"} %g\n", sanitize(d.lastEBE))
-	fmt.Fprintf(w, "ahq_entropy{component=\"system\"} %g\n", sanitize(d.lastES))
+	fmt.Fprintf(w, "ahq_entropy{component=\"lc\"} %g\n", sanitize(d.last.ELC))
+	fmt.Fprintf(w, "ahq_entropy{component=\"be\"} %g\n", sanitize(d.last.EBE))
+	fmt.Fprintf(w, "ahq_entropy{component=\"system\"} %g\n", sanitize(d.last.ES))
 	fmt.Fprintf(w, "# HELP ahq_epoch Monitoring epochs completed.\n")
 	fmt.Fprintf(w, "# TYPE ahq_epoch counter\n")
 	fmt.Fprintf(w, "ahq_epoch %d\n", d.epoch)
 	fmt.Fprintf(w, "# HELP ahq_p95_ms Per-application p95 latency last epoch.\n")
 	fmt.Fprintf(w, "# TYPE ahq_p95_ms gauge\n")
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		if a.Spec.Class == workload.LC {
 			fmt.Fprintf(w, "ahq_p95_ms{app=%q} %g\n", a.Spec.Name, sanitize(a.P95Ms))
 		}
 	}
 	fmt.Fprintf(w, "# HELP ahq_ipc Per-application IPC last epoch.\n")
 	fmt.Fprintf(w, "# TYPE ahq_ipc gauge\n")
-	for _, a := range d.lastTel.Apps {
+	for _, a := range d.last.Apps {
 		if a.Spec.Class == workload.BE {
 			fmt.Fprintf(w, "ahq_ipc{app=%q} %g\n", a.Spec.Name, sanitize(a.IPC))
 		}
 	}
+	fmt.Fprintf(w, "# HELP ahq_incidents_total Degradation incidents the controller survived, by kind.\n")
+	fmt.Fprintf(w, "# TYPE ahq_incidents_total counter\n")
+	for k, n := range d.incidentKinds {
+		fmt.Fprintf(w, "ahq_incidents_total{kind=%q} %d\n", core.IncidentKind(k), n)
+	}
+	fmt.Fprintf(w, "# HELP ahq_degraded_epochs_total Epochs the controller ran degraded or the node was down.\n")
+	fmt.Fprintf(w, "# TYPE ahq_degraded_epochs_total counter\n")
+	fmt.Fprintf(w, "ahq_degraded_epochs_total %d\n", d.degraded)
+	fmt.Fprintf(w, "# HELP ahq_down_epochs_total Epochs a fleet-plan crash held the node down.\n")
+	fmt.Fprintf(w, "# TYPE ahq_down_epochs_total counter\n")
+	fmt.Fprintf(w, "ahq_down_epochs_total %d\n", d.downEpochs)
 }
 
 func (d *daemon) handleHistory(w http.ResponseWriter, _ *http.Request) {

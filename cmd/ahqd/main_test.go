@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ahq/internal/faults"
@@ -185,6 +188,11 @@ func TestDaemonEndpoints(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
+	scrape := func(d *daemon) string {
+		rec := httptest.NewRecorder()
+		d.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return rec.Body.String()
+	}
 	d, err := newDaemon("arq", "xapian:0.3+stream", 1, 500, 0.8, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -192,19 +200,196 @@ func TestMetricsEndpoint(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.stepEpoch()
 	}
-	rec := httptest.NewRecorder()
-	d.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
+	body := scrape(d)
 	for _, want := range []string{
 		`ahq_entropy{component="system"}`,
 		`ahq_p95_ms{app="xapian"}`,
 		`ahq_ipc{app="stream"}`,
 		"ahq_epoch 3",
 		"# TYPE ahq_entropy gauge",
+		"# TYPE ahq_incidents_total counter",
+		`ahq_incidents_total{kind="strategy-panic"} 0`,
+		`ahq_incidents_total{kind="entropy-held"} 0`,
+		"ahq_degraded_epochs_total 0",
+		"ahq_down_epochs_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+
+	// The controller counters follow the epoch records: a dropped window
+	// at controller epoch 1 and a crash over wall epochs 2-3 make one
+	// incident, three degraded epochs and two down epochs.
+	plan, err := faults.Parse("drop@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := resolveFleet(t, "crash@2x2")
+	d, err = newDaemon("arq", "xapian:0.3+stream", 1, 500, 0.8, plan, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		d.stepEpoch()
+	}
+	body = scrape(d)
+	for _, want := range []string{
+		`ahq_incidents_total{kind="telemetry-dropped"} 1`,
+		`ahq_incidents_total{kind="strategy-panic"} 0`,
+		"ahq_degraded_epochs_total 3",
+		"ahq_down_epochs_total 2",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// resolveFleet parses a fleet plan and pins it to the daemon's one node.
+func resolveFleet(t *testing.T, spec string) *faults.FleetPlan {
+	t.Helper()
+	fp, err := faults.ParseFleet(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err = fp.Resolve(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// getHistory reads /v1/history.
+func getHistory(t *testing.T, d *daemon) []epochSummary {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.handleHistory(rec, httptest.NewRequest(http.MethodGet, "/v1/history", nil))
+	var hist []epochSummary
+	if err := json.Unmarshal(rec.Body.Bytes(), &hist); err != nil {
+		t.Fatalf("history: %v", err)
+	}
+	return hist
+}
+
+// TestDaemonHoldsCorruptAndStaleTelemetry: a NaN-corrupted and a stale
+// window are detected and held like core.Run holds them — E_S stays the
+// last healthy value instead of turning into -1 or replaying the stale
+// epoch's — and each is recorded under its own incident kind.
+func TestDaemonHoldsCorruptAndStaleTelemetry(t *testing.T) {
+	plan, err := faults.Parse("nan@3,stale@5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", "xapian:0.3,moses:0.2+stream", 1, 500, 0.8, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		d.stepEpoch()
+	}
+	hist := getHistory(t, d)
+	for epoch, kind := range map[int]string{3: "telemetry-corrupt", 5: "telemetry-stale"} {
+		es, held := hist[epoch].ES, hist[epoch-1].ES
+		if math.IsNaN(es) || es < 0 || es != held {
+			t.Errorf("epoch %d: E_S = %g, want the held value %g", epoch, es, held)
+		}
+		if got := hist[epoch].Incidents; len(got) != 1 || got[0] != kind {
+			t.Errorf("epoch %d: incidents %v, want [%s]", epoch, got, kind)
+		}
+	}
+	rec := httptest.NewRecorder()
+	d.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		`ahq_incidents_total{kind="telemetry-corrupt"} 1`,
+		`ahq_incidents_total{kind="telemetry-stale"} 1`,
+		"ahq_degraded_epochs_total 2",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, rec.Body.String())
+		}
+	}
+}
+
+// TestDaemonChaosPlanCountsControllerEpochs: chaos-plan epochs count the
+// epochs the node was up, for the engine and the strategy alike. With the
+// node down over wall epochs 1-2, controller epoch 4 is wall epoch 6, and
+// the planned drop and panic both land there.
+func TestDaemonChaosPlanCountsControllerEpochs(t *testing.T) {
+	plan, err := faults.Parse("drop@4,panic@4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon("arq", "xapian:0.3,moses:0.2+stream", 1, 500, 0.8, plan, resolveFleet(t, "crash@1x2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		d.stepEpoch()
+	}
+	for _, h := range getHistory(t, d) {
+		want := []string(nil)
+		if h.Epoch == 6 {
+			want = []string{"telemetry-dropped", "strategy-panic"}
+		}
+		if !reflect.DeepEqual(h.Incidents, want) {
+			t.Errorf("wall epoch %d: incidents %v, want %v", h.Epoch, h.Incidents, want)
+		}
+	}
+}
+
+// TestDaemonConcurrentSoak runs the epoch loop under a chaos plan and a
+// fleet plan while other goroutines hit every endpoint; under -race it
+// checks that the handlers and the loop share state only under the lock.
+func TestDaemonConcurrentSoak(t *testing.T) {
+	plan, err := faults.Parse("panic@3,apply@5x3,drop@9,stale@12,nan@15x2,apply@150+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := resolveFleet(t, "crash@20x5,blackout@40x3,crash@190+")
+	d, err := newDaemon("arq", "xapian:0.3,moses:0.2+stream", 1, 100, 0.8, plan, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 200
+	mux := d.routes()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, path := range []string{"/v1/status", "/v1/telemetry", "/v1/allocation",
+		"/v1/entropy", "/v1/contention", "/v1/history", "/metrics", "/v1/load"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				req := httptest.NewRequest(http.MethodGet, path, nil)
+				if path == "/v1/load" {
+					req = httptest.NewRequest(http.MethodPost, fmt.Sprintf("%s?app=xapian&frac=0.%d", path, 1+i%9), nil)
+				}
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s %s: %d %s", req.Method, path, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(path)
+	}
+	for i := 0; i < steps; i++ {
+		d.stepEpoch()
+	}
+	close(done)
+	wg.Wait()
+	if d.epoch != steps || d.downEpochs != 5+10 {
+		t.Errorf("epoch = %d, down epochs = %d; want %d and 15", d.epoch, d.downEpochs, steps)
+	}
+	if err := d.engine.Allocation().Validate(d.engine.Spec(),
+		[]string{"xapian", "moses", "stream"}); err != nil {
+		t.Errorf("allocation invalid after the soak: %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"ahq/internal/entropy"
 	"ahq/internal/machine"
-	"ahq/internal/metrics"
 	"ahq/internal/sched"
 	"ahq/internal/workload"
 )
@@ -141,26 +140,16 @@ const (
 	maxBackoffEpochs = 8
 )
 
-// safeInit calls strategy.Init, converting a panic into a recorded message
-// so a misbehaving strategy cannot crash the run before it starts.
-func safeInit(s sched.Strategy, spec machine.Spec, apps []sched.AppSpec) (alloc machine.Allocation, panicMsg string) {
+// guard runs a strategy call, converting a panic into a recorded message
+// so a misbehaving strategy cannot crash the run; the caller then holds the
+// allocation in force.
+func guard(call func() machine.Allocation) (alloc machine.Allocation, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicMsg = fmt.Sprint(r)
 		}
 	}()
-	return s.Init(spec, apps), ""
-}
-
-// safeDecide calls strategy.Decide, converting a panic into a recorded
-// message; the caller holds the current allocation in that case.
-func safeDecide(s sched.Strategy, t sched.Telemetry, cur machine.Allocation) (next machine.Allocation, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
-		}
-	}()
-	return s.Decide(t, cur), ""
+	return call(), ""
 }
 
 // corruptWindows reports why an epoch's windows are physically impossible
@@ -183,240 +172,293 @@ func corruptWindows(ws []sched.AppWindow) string {
 	return ""
 }
 
-// Run drives the engine under the strategy for warm-up plus the measured
-// horizon and aggregates the results.
+// Controller is the Ah-Q control loop stepped one monitoring epoch at a
+// time: Run steps it over a fixed horizon, and the ahqd daemon steps it
+// once per epoch its node is up, for as long as it runs. Its state is
+// O(applications) and does not grow with the number of epochs stepped.
+// Not safe for concurrent use.
 //
-// Run degrades instead of dying: a strategy panic holds the in-force
-// allocation, a mid-run allocation rejection is retried and then replaced
-// by the last-known-good allocation, and dropped/stale/corrupt telemetry
-// holds the previous epoch's observation and entropy rather than feeding
-// NaN to strategies. Every such event is recorded in Result.Incidents. The
-// only remaining error return after a successful start is impossible input
-// (an initial allocation the node rejects), which is a configuration error
-// rather than a runtime fault.
-func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) {
+// The controller degrades instead of dying: a strategy panic holds the
+// in-force allocation, a mid-run allocation rejection is retried and then
+// replaced by the last-known-good allocation, and dropped/stale/corrupt
+// telemetry holds the previous epoch's observation and entropy rather than
+// feeding NaN to strategies. Every such event is recorded as an Incident
+// (DESIGN.md §7).
+type Controller struct {
+	engine     Engine
+	strategy   sched.Strategy
+	epochMs    float64
+	sys        entropy.System
+	specs      []sched.AppSpec
+	warmEpochs int
+	epoch      int
+
+	// res holds the run-level counters; its Incidents only the one
+	// NewController may record, since each epoch's incidents travel in
+	// that epoch's record.
+	res Result
+	// acc is indexed like specs.
+	acc                   []appAccum
+	elcSum, ebeSum, esSum float64
+	measured              int
+
+	// Degradation state: the last allocation the node accepted, the last
+	// healthy telemetry (held over fault epochs), and the retry/backoff
+	// counters of the apply path.
+	lastGood                               machine.Allocation
+	heldApps                               []sched.AppWindow
+	heldELC, heldEBE, heldES               float64
+	lastNowMs                              float64
+	rejectStreak, backoffLen, backoffUntil int
+}
+
+// appAccum is one application's measured-horizon accumulator.
+type appAccum struct {
+	// sum and n average the epoch p95 (LC) or IPC (BE) values, summing in
+	// epoch order and dividing once, exactly as metrics.Mean does.
+	sum                float64
+	n                  int
+	compl, drops, viol int
+}
+
+// mean is the running average, NaN before any sample.
+func (a *appAccum) mean() float64 {
+	if a.n == 0 {
+		return math.NaN()
+	}
+	return a.sum / float64(a.n)
+}
+
+// NewController initialises the strategy and applies its initial
+// allocation. A strategy panic in Init is recorded and degrades to the
+// allocation already in force (the engine starts unmanaged); an initial
+// allocation the node rejects is a configuration error.
+func NewController(engine Engine, strategy sched.Strategy, opts Options) (*Controller, error) {
 	opts = opts.withDefaults()
 	specs := engine.AppSpecs()
-	res := &Result{Strategy: strategy.Name()}
-	alloc, initPanic := safeInit(strategy, engine.Spec(), specs)
+	c := &Controller{
+		engine:   engine,
+		strategy: strategy,
+		epochMs:  opts.EpochMs,
+		sys:      entropy.System{RI: opts.RI},
+		specs:    specs,
+		res:      Result{Strategy: strategy.Name()},
+		acc:      make([]appAccum, len(specs)),
+		heldELC:  math.NaN(),
+		heldEBE:  math.NaN(),
+		heldES:   math.NaN(),
+	}
+	c.warmEpochs = int(math.Ceil(opts.WarmupMs / opts.EpochMs))
+	alloc, initPanic := guard(func() machine.Allocation { return strategy.Init(engine.Spec(), specs) })
 	if initPanic != "" {
-		// Degrade to the allocation already in force (the engine starts
-		// unmanaged), the safest state we can guarantee exists.
-		res.Incidents = append(res.Incidents, Incident{Epoch: -1, Kind: IncidentStrategyPanic, Detail: initPanic})
+		c.res.Incidents = append(c.res.Incidents, Incident{Epoch: -1, Kind: IncidentStrategyPanic, Detail: initPanic})
 		alloc = engine.Allocation()
 	}
 	if err := engine.SetAllocation(alloc); err != nil {
 		return nil, fmt.Errorf("core: %s initial allocation rejected: %w", strategy.Name(), err)
 	}
-	sys := entropy.System{RI: opts.RI}
+	c.lastGood = engine.Allocation()
+	c.lastNowMs = engine.NowMs()
+	return c, nil
+}
 
-	totalEpochs := int(math.Ceil((opts.WarmupMs + opts.DurationMs) / opts.EpochMs))
-	warmEpochs := int(math.Ceil(opts.WarmupMs / opts.EpochMs))
-
-	type accum struct {
-		p95   []float64
-		ipc   []float64
-		compl int
-		drops int
-		viol  int
+// Step runs one monitoring epoch — observe, compute the entropies, decide,
+// apply — and returns its record. The engine's run-level statistics are
+// reset when the warm-up ends.
+func (c *Controller) Step() EpochRecord {
+	epoch := c.epoch
+	c.epoch++
+	if epoch == c.warmEpochs {
+		c.engine.ResetRunStats()
 	}
-	acc := make(map[string]*accum, len(specs))
-	for _, s := range specs {
-		acc[s.Name] = &accum{}
+	var incidents []Incident
+	windows := c.engine.RunWindow(c.epochMs)
+	nowMs := c.engine.NowMs()
+
+	winOK := true
+	switch {
+	case len(windows) == 0:
+		winOK = false
+		incidents = append(incidents, Incident{Epoch: epoch,
+			Kind: IncidentTelemetryDropped, Detail: "no windows delivered"})
+	case nowMs <= c.lastNowMs:
+		winOK = false
+		incidents = append(incidents, Incident{Epoch: epoch,
+			Kind: IncidentTelemetryStale, Detail: fmt.Sprintf("window timestamp %.0f ms did not advance", nowMs)})
+	default:
+		if why := corruptWindows(windows); why != "" {
+			winOK = false
+			incidents = append(incidents, Incident{Epoch: epoch,
+				Kind: IncidentTelemetryCorrupt, Detail: why})
+		}
 	}
-	var esSum, elcSum, ebeSum float64
-	measured := 0
+	if nowMs > c.lastNowMs {
+		c.lastNowMs = nowMs
+	}
 
-	// Degradation state: the last allocation the node accepted, the last
-	// healthy telemetry (held over fault epochs), and the retry/backoff
-	// counters of the apply path.
-	lastGood := engine.Allocation()
-	heldELC, heldEBE, heldES := math.NaN(), math.NaN(), math.NaN()
-	var heldApps []sched.AppWindow
-	lastNowMs := engine.NowMs()
-	rejectStreak, backoffLen, backoffUntil := 0, 0, 0
-
-	for epoch := 0; epoch < totalEpochs; epoch++ {
-		if epoch == warmEpochs {
-			engine.ResetRunStats()
-		}
-		epochIncidents := len(res.Incidents)
-		windows := engine.RunWindow(opts.EpochMs)
-		nowMs := engine.NowMs()
-
-		winOK := true
-		switch {
-		case len(windows) == 0:
-			winOK = false
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-				Kind: IncidentTelemetryDropped, Detail: "no windows delivered"})
-		case nowMs <= lastNowMs:
-			winOK = false
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-				Kind: IncidentTelemetryStale, Detail: fmt.Sprintf("window timestamp %.0f ms did not advance", nowMs)})
-		default:
-			if why := corruptWindows(windows); why != "" {
-				winOK = false
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-					Kind: IncidentTelemetryCorrupt, Detail: why})
-			}
-		}
-		if nowMs > lastNowMs {
-			lastNowMs = nowMs
-		}
-
-		tel := sched.Telemetry{Epoch: epoch, TelemetryOK: winOK}
-		if winOK {
-			tel.TimeMs = nowMs
-			tel.Apps = orderWindows(windows, specs)
-			lcS, beS := SamplesFromWindows(tel.Apps)
-			elc, ebe, es, err := sys.Compute(lcS, beS)
-			if err == nil {
-				tel.ELC, tel.EBE, tel.ES = elc, ebe, es
-				heldELC, heldEBE, heldES = elc, ebe, es
-			} else {
-				// Plausible windows but no computable entropy: hold the
-				// previous value so strategies never see NaN mid-run.
-				tel.TelemetryOK = false
-				tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-					Kind: IncidentEntropyHeld, Detail: err.Error()})
-			}
-			heldApps = tel.Apps
+	tel := sched.Telemetry{Epoch: epoch, TelemetryOK: winOK}
+	if winOK {
+		tel.TimeMs = nowMs
+		tel.Apps = orderWindows(windows, c.specs)
+		lcS, beS := SamplesFromWindows(tel.Apps)
+		elc, ebe, es, err := c.sys.Compute(lcS, beS)
+		if err == nil {
+			tel.ELC, tel.EBE, tel.ES = elc, ebe, es
+			c.heldELC, c.heldEBE, c.heldES = elc, ebe, es
 		} else {
-			// Hold the previous healthy observation; before any healthy
-			// epoch exists the apps are empty and the entropies NaN.
-			tel.TimeMs = lastNowMs
-			tel.Apps = heldApps
-			tel.ELC, tel.EBE, tel.ES = heldELC, heldEBE, heldES
+			// Plausible windows but no computable entropy: hold the
+			// previous value so strategies never see NaN mid-run.
+			tel.TelemetryOK = false
+			tel.ELC, tel.EBE, tel.ES = c.heldELC, c.heldEBE, c.heldES
+			incidents = append(incidents, Incident{Epoch: epoch,
+				Kind: IncidentEntropyHeld, Detail: err.Error()})
 		}
+		c.heldApps = tel.Apps
+	} else {
+		// Hold the previous healthy observation; before any healthy
+		// epoch exists the apps are empty and the entropies NaN.
+		tel.TimeMs = c.lastNowMs
+		tel.Apps = c.heldApps
+		tel.ELC, tel.EBE, tel.ES = c.heldELC, c.heldEBE, c.heldES
+	}
 
-		inMeasure := epoch >= warmEpochs
-		entropyOK := winOK && tel.TelemetryOK
-		if inMeasure && entropyOK {
-			elcSum += tel.ELC
-			ebeSum += tel.EBE
-			esSum += tel.ES
-			measured++
-		}
+	inMeasure := epoch >= c.warmEpochs
+	if inMeasure && tel.TelemetryOK {
+		c.elcSum += tel.ELC
+		c.ebeSum += tel.EBE
+		c.esSum += tel.ES
+		c.measured++
+	}
 
-		// Per-application accumulation only for genuinely fresh windows;
-		// held (replayed) observations must not be double counted.
-		violations := 0
-		queued, dropped := 0, 0
-		if winOK {
-			for _, w := range tel.Apps {
-				a := acc[w.Spec.Name]
-				if w.Spec.Class == workload.LC {
-					queued += w.QueueLen
-					dropped += w.Dropped
-					if inMeasure {
-						if !math.IsNaN(w.P95Ms) {
-							a.p95 = append(a.p95, w.P95Ms)
-						}
-						a.compl += w.Completed
-						a.drops += w.Dropped
-						if w.Violates() {
-							a.viol++
-							violations++
-						}
-					} else if w.Violates() {
+	// Per-application accumulation only for genuinely fresh windows;
+	// held (replayed) observations must not be double counted.
+	violations := 0
+	queued, dropped := 0, 0
+	if winOK {
+		for i, w := range tel.Apps {
+			a := &c.acc[i]
+			if w.Spec.Class == workload.LC {
+				queued += w.QueueLen
+				dropped += w.Dropped
+				if inMeasure {
+					if !math.IsNaN(w.P95Ms) {
+						a.sum += w.P95Ms
+						a.n++
+					}
+					a.compl += w.Completed
+					a.drops += w.Dropped
+					if w.Violates() {
+						a.viol++
 						violations++
 					}
-				} else if inMeasure {
-					a.ipc = append(a.ipc, w.IPC)
+				} else if w.Violates() {
+					violations++
 				}
+			} else if inMeasure {
+				a.sum += w.IPC
+				a.n++
 			}
-		}
-		if inMeasure {
-			res.Epochs++
-			res.TotalViolationEpochs += violations
-		}
-
-		cur := engine.Allocation()
-		next, panicMsg := safeDecide(strategy, tel, cur)
-		if panicMsg != "" {
-			res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-				Kind: IncidentStrategyPanic, Detail: panicMsg})
-			next = cur // hold the in-force allocation
-		}
-		adjusted := !next.Equal(cur)
-		suppressed := false
-		if adjusted {
-			if epoch < backoffUntil {
-				// The actuator was recently rejecting even the known-good
-				// allocation; do not hammer it.
-				adjusted, suppressed = false, true
-			} else if err := engine.SetAllocation(next); err == nil {
-				rejectStreak, backoffLen = 0, 0
-				lastGood = engine.Allocation()
-				if inMeasure {
-					res.Adjustments++
-				}
-			} else {
-				adjusted = false
-				rejectStreak++
-				res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-					Kind: IncidentAllocationRejected, Detail: err.Error()})
-				if rejectStreak >= maxApplyRetries {
-					rejectStreak = 0
-					if fbErr := engine.SetAllocation(lastGood); fbErr != nil {
-						res.Incidents = append(res.Incidents, Incident{Epoch: epoch,
-							Kind: IncidentFallbackRejected, Detail: fbErr.Error()})
-						if backoffLen == 0 {
-							backoffLen = 1
-						} else if backoffLen*2 <= maxBackoffEpochs {
-							backoffLen *= 2
-						} else {
-							backoffLen = maxBackoffEpochs
-						}
-						backoffUntil = epoch + 1 + backoffLen
-					}
-				}
-			}
-		}
-		degraded := suppressed || len(res.Incidents) > epochIncidents
-		if degraded {
-			res.DegradedEpochs++
-		}
-		if opts.RecordTimeline {
-			res.Timeline = append(res.Timeline, EpochRecord{
-				TimeMs:       tel.TimeMs,
-				Apps:         tel.Apps,
-				ELC:          tel.ELC,
-				EBE:          tel.EBE,
-				ES:           tel.ES,
-				Allocation:   engine.Allocation(),
-				Adjusted:     adjusted,
-				LCViolations: violations,
-				QueuedTotal:  queued,
-				DroppedTotal: dropped,
-				TelemetryOK:  tel.TelemetryOK,
-				Degraded:     degraded,
-				Incidents:    res.Incidents[epochIncidents:len(res.Incidents):len(res.Incidents)],
-			})
 		}
 	}
+	if inMeasure {
+		c.res.Epochs++
+		c.res.TotalViolationEpochs += violations
+	}
 
-	if measured > 0 {
-		res.MeanELC = elcSum / float64(measured)
-		res.MeanEBE = ebeSum / float64(measured)
-		res.MeanES = esSum / float64(measured)
+	cur := c.engine.Allocation()
+	next, panicMsg := guard(func() machine.Allocation { return c.strategy.Decide(tel, cur) })
+	if panicMsg != "" {
+		incidents = append(incidents, Incident{Epoch: epoch,
+			Kind: IncidentStrategyPanic, Detail: panicMsg})
+		next = cur // hold the in-force allocation
+	}
+	// A rejected apply leaves the allocation in force (Engine contract),
+	// so the record needs a fresh copy only when an apply succeeded.
+	inForce := cur
+	adjusted := !next.Equal(cur)
+	suppressed := false
+	if adjusted {
+		if epoch < c.backoffUntil {
+			// The actuator was recently rejecting even the known-good
+			// allocation; do not hammer it.
+			adjusted, suppressed = false, true
+		} else if err := c.engine.SetAllocation(next); err == nil {
+			c.rejectStreak, c.backoffLen = 0, 0
+			c.lastGood = c.engine.Allocation()
+			inForce = c.lastGood
+			if inMeasure {
+				c.res.Adjustments++
+			}
+		} else {
+			adjusted = false
+			c.rejectStreak++
+			incidents = append(incidents, Incident{Epoch: epoch,
+				Kind: IncidentAllocationRejected, Detail: err.Error()})
+			if c.rejectStreak >= maxApplyRetries {
+				c.rejectStreak = 0
+				if fbErr := c.engine.SetAllocation(c.lastGood); fbErr != nil {
+					incidents = append(incidents, Incident{Epoch: epoch,
+						Kind: IncidentFallbackRejected, Detail: fbErr.Error()})
+					if c.backoffLen == 0 {
+						c.backoffLen = 1
+					} else if c.backoffLen*2 <= maxBackoffEpochs {
+						c.backoffLen *= 2
+					} else {
+						c.backoffLen = maxBackoffEpochs
+					}
+					c.backoffUntil = epoch + 1 + c.backoffLen
+				} else {
+					inForce = c.lastGood
+				}
+			}
+		}
+	}
+	degraded := suppressed || len(incidents) > 0
+	if degraded {
+		c.res.DegradedEpochs++
+	}
+	return EpochRecord{
+		TimeMs:       tel.TimeMs,
+		Apps:         tel.Apps,
+		ELC:          tel.ELC,
+		EBE:          tel.EBE,
+		ES:           tel.ES,
+		Allocation:   inForce,
+		Adjusted:     adjusted,
+		LCViolations: violations,
+		QueuedTotal:  queued,
+		DroppedTotal: dropped,
+		TelemetryOK:  tel.TelemetryOK,
+		Degraded:     degraded,
+		Incidents:    incidents,
+	}
+}
+
+// Result aggregates the epochs stepped so far into run-level results. Its
+// Incidents holds only the incident NewController recorded, if any; every
+// later incident is in the record of the Step that met it.
+func (c *Controller) Result() *Result {
+	res := c.res
+	res.Incidents = append([]Incident(nil), c.res.Incidents...)
+	if c.measured > 0 {
+		res.MeanELC = c.elcSum / float64(c.measured)
+		res.MeanEBE = c.ebeSum / float64(c.measured)
+		res.MeanES = c.esSum / float64(c.measured)
 	}
 
 	// Run-level summaries and entropies from mean latencies/IPCs.
 	var lcRun []entropy.LCSample
 	var beRun []entropy.BESample
-	for _, s := range specs {
-		a := acc[s.Name]
+	for i, s := range c.specs {
+		a := &c.acc[i]
 		ar := AppResult{Spec: s}
 		if s.Class == workload.LC {
 			// Run-level tail latency is the exact percentile over every
 			// completion in the measured horizon; the windowed mean is a
 			// fallback for starved runs.
-			ar.MeanP95Ms = engine.RunP95(s.Name)
+			ar.MeanP95Ms = c.engine.RunP95(s.Name)
 			if math.IsNaN(ar.MeanP95Ms) {
-				ar.MeanP95Ms = metrics.Mean(a.p95)
+				ar.MeanP95Ms = a.mean()
 			}
 			ar.ViolationEpochs = a.viol
 			ar.Completed, ar.Dropped = a.compl, a.drops
@@ -428,9 +470,9 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 				lcRun = append(lcRun, ar.LCSample)
 			}
 		} else {
-			ar.MeanIPC = engine.RunIPC(s.Name)
+			ar.MeanIPC = c.engine.RunIPC(s.Name)
 			if math.IsNaN(ar.MeanIPC) {
-				ar.MeanIPC = metrics.Mean(a.ipc)
+				ar.MeanIPC = a.mean()
 			}
 			ar.BESample = entropy.BESample{Name: s.Name, SoloIPC: s.SoloIPC, MeasuredIPC: ar.MeanIPC}
 			if !math.IsNaN(ar.MeanIPC) && ar.MeanIPC > 0 {
@@ -439,13 +481,42 @@ func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) 
 		}
 		res.Apps = append(res.Apps, ar)
 	}
-	if elc, ebe, es, err := sys.Compute(lcRun, beRun); err == nil {
+	if elc, ebe, es, err := c.sys.Compute(lcRun, beRun); err == nil {
 		res.RunELC, res.RunEBE, res.RunES = elc, ebe, es
 	}
 	if y, err := entropy.Yield(lcRun); err == nil {
 		res.Yield = y
 	}
-	res.FinalAllocation = engine.Allocation()
+	res.FinalAllocation = c.engine.Allocation()
+	return &res
+}
+
+// Run drives the engine under the strategy for warm-up plus the measured
+// horizon and aggregates the results: NewController, one Step per epoch,
+// then Result with every incident in epoch order. After a successful start
+// the only error is impossible input (an initial allocation the node
+// rejects), a configuration error rather than a runtime fault.
+func Run(engine Engine, strategy sched.Strategy, opts Options) (*Result, error) {
+	c, err := NewController(engine, strategy, opts)
+	if err != nil {
+		return nil, err
+	}
+	// opts stay raw for NewController: defaulting twice would turn a
+	// negative warm-up into the default one.
+	o := opts.withDefaults()
+	total := int(math.Ceil((o.WarmupMs + o.DurationMs) / o.EpochMs))
+	var incidents []Incident
+	var timeline []EpochRecord
+	for epoch := 0; epoch < total; epoch++ {
+		rec := c.Step()
+		incidents = append(incidents, rec.Incidents...)
+		if opts.RecordTimeline {
+			timeline = append(timeline, rec)
+		}
+	}
+	res := c.Result()
+	res.Incidents = append(res.Incidents, incidents...)
+	res.Timeline = timeline
 	return res, nil
 }
 
@@ -489,15 +560,18 @@ func SamplesFromWindows(apps []sched.AppWindow) ([]entropy.LCSample, []entropy.B
 	return lc, be
 }
 
-// orderWindows reorders engine windows into spec order (LC first).
+// orderWindows copies engine windows into spec order (LC first). A spec
+// without a window gets the zero window; were a name delivered twice, the
+// later window would win.
 func orderWindows(windows []sched.AppWindow, specs []sched.AppSpec) []sched.AppWindow {
-	byName := make(map[string]sched.AppWindow, len(windows))
-	for _, w := range windows {
-		byName[w.Spec.Name] = w
-	}
-	out := make([]sched.AppWindow, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, byName[s.Name])
+	out := make([]sched.AppWindow, len(specs))
+	for i, s := range specs {
+		for j := len(windows) - 1; j >= 0; j-- {
+			if windows[j].Spec.Name == s.Name {
+				out[i] = windows[j]
+				break
+			}
+		}
 	}
 	return out
 }

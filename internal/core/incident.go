@@ -31,9 +31,11 @@ const (
 	// computation failed (e.g. no usable samples); strategies received the
 	// previous entropy instead of NaN.
 	IncidentEntropyHeld
+	// NumIncidentKinds counts the kinds above.
+	NumIncidentKinds
 )
 
-var incidentKindNames = [...]string{
+var incidentKindNames = [NumIncidentKinds]string{
 	"strategy-panic",
 	"allocation-rejected",
 	"fallback-rejected",

@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
 )
@@ -39,8 +40,8 @@ func runAblationInterval(cfg RunConfig) (*Result, error) {
 	// runMix fills the run mode's horizons even though only EpochMs is
 	// customised here (it used to silently fall back to core defaults).
 	epochs := []float64{250, 500, 1000, 2000}
-	p := newPool(cfg)
-	futs := make([]*future[*core.Result], len(epochs))
+	p := workpool.New(cfg.Parallel)
+	futs := make([]*workpool.Future[*core.Result], len(epochs))
 	for i, epoch := range epochs {
 		f, err := StrategyByName("arq")
 		if err != nil {
@@ -51,7 +52,7 @@ func runAblationInterval(cfg RunConfig) (*Result, error) {
 			core.Options{EpochMs: epoch})
 	}
 	for i, epoch := range epochs {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}
@@ -94,8 +95,8 @@ func runAblationARQ(cfg RunConfig) (*Result, error) {
 		}},
 		{"strict partitioning (parties)", nil}, // filled below
 	}
-	p := newPool(cfg)
-	futs := make([]*future[*core.Result], len(variants))
+	p := workpool.New(cfg.Parallel)
+	futs := make([]*workpool.Future[*core.Result], len(variants))
 	for i, v := range variants {
 		var f StrategyFactory
 		if v.make != nil {
@@ -112,7 +113,7 @@ func runAblationARQ(cfg RunConfig) (*Result, error) {
 			standardMix(0.70, 0.20, 0.20, "stream"), f, core.Options{})
 	}
 	for i, v := range variants {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}
@@ -134,8 +135,8 @@ func runAblationRI(cfg RunConfig) (*Result, error) {
 		Columns: []string{"RI", "mean E_LC", "mean E_BE", "mean E_S", "yield"},
 	}
 	ris := []float64{0.5, 0.65, 0.8, 0.95}
-	p := newPool(cfg)
-	futs := make([]*future[*core.Result], len(ris))
+	p := workpool.New(cfg.Parallel)
+	futs := make([]*workpool.Future[*core.Result], len(ris))
 	for i, ri := range ris {
 		f, err := StrategyByName("arq")
 		if err != nil {
@@ -146,7 +147,7 @@ func runAblationRI(cfg RunConfig) (*Result, error) {
 			core.Options{EpochMs: 500, RI: ri})
 	}
 	for i, ri := range ris {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 )
 
@@ -62,10 +63,10 @@ func runExtBigNode(cfg RunConfig) (*Result, error) {
 	for _, l := range loads {
 		tab.Columns = append(tab.Columns, fmtPct(l)+" E_LC", fmtPct(l)+" E_S")
 	}
-	p := newPool(cfg)
-	futs := make([][]*future[*core.Result], len(strategies))
+	p := workpool.New(cfg.Parallel)
+	futs := make([][]*workpool.Future[*core.Result], len(strategies))
 	for si, f := range strategies {
-		futs[si] = make([]*future[*core.Result], len(loads))
+		futs[si] = make([]*workpool.Future[*core.Result], len(loads))
 		for li, l := range loads {
 			futs[si][li] = runMixAsync(p, cfg, bigNodeSpec(), mkApps(l), f, core.Options{})
 		}
@@ -73,7 +74,7 @@ func runExtBigNode(cfg RunConfig) (*Result, error) {
 	for si, f := range strategies {
 		row := []string{f.Name}
 		for li, l := range loads {
-			run, err := futs[si][li].wait()
+			run, err := futs[si][li].Wait()
 			if err != nil {
 				return nil, fmt.Errorf("%s at %.0f%%: %w", f.Name, 100*l, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/faults"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 )
 
@@ -117,17 +118,17 @@ func runControllerChaos(cfg RunConfig) (*Result, error) {
 	res.Tables = append(res.Tables, plans)
 
 	strategies := []string{"parties", "clite", "arq"}
-	p := newPool(cfg)
-	futs := make(map[string]map[string]*future[chaosRun], len(strategies))
+	p := workpool.New(cfg.Parallel)
+	futs := make(map[string]map[string]*workpool.Future[chaosRun], len(strategies))
 	for _, name := range strategies {
 		f, err := StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		futs[name] = make(map[string]*future[chaosRun], len(chaosScenarios))
+		futs[name] = make(map[string]*workpool.Future[chaosRun], len(chaosScenarios))
 		for _, sc := range chaosScenarios {
 			sc := sc
-			futs[name][sc.name] = submit(p, func() (chaosRun, error) {
+			futs[name][sc.name] = workpool.Submit(p, func() (chaosRun, error) {
 				return runControllerChaosMix(cfg, sc.plan, f)
 			})
 		}
@@ -148,7 +149,7 @@ func runControllerChaos(cfg RunConfig) (*Result, error) {
 	for _, name := range strategies {
 		var base chaosRun
 		for _, sc := range chaosScenarios {
-			run, err := futs[name][sc.name].wait()
+			run, err := futs[name][sc.name].Wait()
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, sc.name, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"ahq/internal/cluster"
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sched"
 	"ahq/internal/sim"
 )
@@ -56,10 +57,10 @@ func runExtCluster(cfg RunConfig) (*Result, error) {
 		placement [][]sim.AppConfig
 		run       *cluster.Result
 	}
-	pl := newPool(cfg)
-	futs := make([]*future[clusterOut], len(placements))
+	pl := workpool.New(cfg.Parallel)
+	futs := make([]*workpool.Future[clusterOut], len(placements))
 	for i, p := range placements {
-		futs[i] = submit(pl, func() (clusterOut, error) {
+		futs[i] = workpool.Submit(pl, func() (clusterOut, error) {
 			placement, err := p.build()
 			if err != nil {
 				return clusterOut{}, err
@@ -80,7 +81,7 @@ func runExtCluster(cfg RunConfig) (*Result, error) {
 		})
 	}
 	for i, p := range placements {
-		out, err := futs[i].wait()
+		out, err := futs[i].Wait()
 		if err != nil {
 			return nil, fmt.Errorf("placement %s: %w", p.label, err)
 		}

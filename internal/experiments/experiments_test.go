@@ -137,3 +137,30 @@ func TestFig13Quick(t *testing.T) {
 		t.Errorf("summary has %d strategies, want 3", len(out.Tables[0].Rows))
 	}
 }
+
+// The worker pool must not change what a runner renders: the same experiment at
+// parallelism 1 and 4 yields byte-identical tables. (Runs under -race, this
+// also exercises the fan-out for data races.)
+func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs controller sweeps; not -short")
+	}
+	for _, id := range []string{"table2", "fig5", "ablation-interval"} {
+		d, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s missing", id)
+		}
+		render := func(parallel int) string {
+			res, err := d.Run(RunConfig{Seed: 42, Quick: true, Parallel: parallel})
+			if err != nil {
+				t.Fatalf("%s parallel=%d: %v", id, parallel, err)
+			}
+			var b strings.Builder
+			res.Fprint(&b)
+			return b.String()
+		}
+		if seq, par := render(1), render(4); seq != par {
+			t.Errorf("%s renders differently at parallel 1 vs 4:\n--- seq ---\n%s\n--- par ---\n%s", id, seq, par)
+		}
+	}
+}

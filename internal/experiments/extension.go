@@ -6,6 +6,7 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/entropy"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/workload"
 )
 
@@ -40,9 +41,9 @@ func runExtWeighted(cfg RunConfig) (*Result, error) {
 	for _, w := range weightings {
 		tab.Columns = append(tab.Columns, w.label+" E_LC", w.label+" E_S")
 	}
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	names := []string{"parties", "arq"}
-	futs := make([]*future[*core.Result], len(names))
+	futs := make([]*workpool.Future[*core.Result], len(names))
 	for i, name := range names {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -52,7 +53,7 @@ func runExtWeighted(cfg RunConfig) (*Result, error) {
 			standardMix(0.70, 0.20, 0.20, "stream"), f, core.Options{})
 	}
 	for i, name := range names {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sched"
 	"ahq/internal/sched/static"
 )
@@ -55,8 +56,8 @@ func runFig1(cfg RunConfig) (*Result, error) {
 		{"A (partial sharing)", strategyA},
 		{"B (strict isolation)", strategyB},
 	}
-	p := newPool(cfg)
-	futs := make([]*future[*core.Result], len(cases))
+	p := workpool.New(cfg.Parallel)
+	futs := make([]*workpool.Future[*core.Result], len(cases))
 	for i, c := range cases {
 		f := StrategyFactory{Name: c.label, New: func(int64) sched.Strategy {
 			return static.Fixed{Label: c.label, Alloc: c.alloc}
@@ -64,7 +65,7 @@ func runFig1(cfg RunConfig) (*Result, error) {
 		futs[i] = runMixAsync(p, cfg, spec, apps, f, core.Options{})
 	}
 	for i, c := range cases {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func runFig10(cfg RunConfig) (*Result, error) {
 	if cfg.Quick {
 		loads = []float64{0.10, 0.50, 0.90}
 	}
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	for _, name := range []string{"parties", "arq"} {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -56,9 +57,9 @@ func runFig10(cfg RunConfig) (*Result, error) {
 		for k := range grids {
 			grids[k] = make([][]float64, len(loads))
 		}
-		cells := make([][]*future[*core.Result], len(loads))
+		cells := make([][]*workpool.Future[*core.Result], len(loads))
 		for i, xl := range loads {
-			cells[i] = make([]*future[*core.Result], len(loads))
+			cells[i] = make([]*workpool.Future[*core.Result], len(loads))
 			for j, il := range loads {
 				apps := []sim.AppConfig{
 					lcAt("xapian", xl),
@@ -71,7 +72,7 @@ func runFig10(cfg RunConfig) (*Result, error) {
 		}
 		for i := range loads {
 			for j := range loads {
-				run, err := cells[i][j].wait()
+				run, err := cells[i][j].Wait()
 				if err != nil {
 					return nil, err
 				}

@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 )
 
@@ -44,9 +45,9 @@ func runFig12(cfg RunConfig) (*Result, error) {
 		Caption: "run-level p95 (ms) per LC application and IPC per BE application",
 		Columns: []string{"strategy", "moses", "xapian", "img-dnn", "sphinx", "masstree", "silo", "fluid IPC", "strmclst IPC", "E_S", "yield"},
 	}
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	names := []string{"parties", "arq"}
-	futs := make([]*future[*core.Result], len(names))
+	futs := make([]*workpool.Future[*core.Result], len(names))
 	for i, name := range names {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -55,7 +56,7 @@ func runFig12(cfg RunConfig) (*Result, error) {
 		futs[i] = runMixAsync(p, cfg, machine.DefaultSpec(), apps, f, opts)
 	}
 	for i, name := range names {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

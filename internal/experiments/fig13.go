@@ -6,6 +6,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 	"ahq/internal/trace"
 )
@@ -45,9 +46,9 @@ func runFig13(cfg RunConfig) (*Result, error) {
 		Columns: []string{"strategy", "violations", "adjustments", "mean E_LC", "mean E_BE", "mean E_S"},
 	}
 	var timelines []Table
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	names := []string{"lc-first", "parties", "arq"}
-	futs := make([]*future[*core.Result], len(names))
+	futs := make([]*workpool.Future[*core.Result], len(names))
 	for i, name := range names {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -62,7 +63,7 @@ func runFig13(cfg RunConfig) (*Result, error) {
 		futs[i] = runMixAsync(p, cfg, machine.DefaultSpec(), apps, f, opts)
 	}
 	for i, name := range names {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/entropy"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 )
 
 func init() {
@@ -39,8 +40,8 @@ func esAt(cfg RunConfig, f StrategyFactory, cores, ways int) (float64, error) {
 }
 
 // esAtAsync submits one esAt measurement to the pool.
-func esAtAsync(p *pool, cfg RunConfig, f StrategyFactory, cores, ways int) *future[float64] {
-	return submit(p, func() (float64, error) { return esAt(cfg, f, cores, ways) })
+func esAtAsync(p *workpool.Pool, cfg RunConfig, f StrategyFactory, cores, ways int) *workpool.Future[float64] {
+	return workpool.Submit(p, func() (float64, error) { return esAt(cfg, f, cores, ways) })
 }
 
 func runFig2(cfg RunConfig) (*Result, error) {
@@ -52,16 +53,16 @@ func runFig2(cfg RunConfig) (*Result, error) {
 		coreRange = []int{4, 7, 10}
 		wayRange = []int{4, 12, 20}
 	}
-	p := newPool(cfg)
-	futs := make(map[string][][]*future[float64], len(strategies))
+	p := workpool.New(cfg.Parallel)
+	futs := make(map[string][][]*workpool.Future[float64], len(strategies))
 	for _, name := range strategies {
 		f, err := StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		cells := make([][]*future[float64], len(coreRange))
+		cells := make([][]*workpool.Future[float64], len(coreRange))
 		for i, c := range coreRange {
-			cells[i] = make([]*future[float64], len(wayRange))
+			cells[i] = make([]*workpool.Future[float64], len(wayRange))
 			for j, w := range wayRange {
 				cells[i][j] = esAtAsync(p, cfg, f, c, w)
 			}
@@ -82,7 +83,7 @@ func runFig2(cfg RunConfig) (*Result, error) {
 			row := []string{fmt.Sprint(c)}
 			var vals []float64
 			for j := range wayRange {
-				es, err := futs[name][i][j].wait()
+				es, err := futs[name][i][j].Wait()
 				if err != nil {
 					return nil, err
 				}
@@ -121,8 +122,8 @@ func runFig3a(cfg RunConfig) (*Result, error) {
 	for i, c := range coreRange {
 		rows[i] = []string{fmt.Sprint(c)}
 	}
-	p := newPool(cfg)
-	futs := make(map[string][]*future[float64], 2)
+	p := workpool.New(cfg.Parallel)
+	futs := make(map[string][]*workpool.Future[float64], 2)
 	for _, name := range []string{"unmanaged", "arq"} {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -134,7 +135,7 @@ func runFig3a(cfg RunConfig) (*Result, error) {
 	}
 	for _, name := range []string{"unmanaged", "arq"} {
 		for i, c := range coreRange {
-			es, err := futs[name][i].wait()
+			es, err := futs[name][i].Wait()
 			if err != nil {
 				return nil, err
 			}
@@ -188,14 +189,14 @@ func runFig3b(cfg RunConfig) (*Result, error) {
 			return cs
 		}()...),
 	}
-	p := newPool(cfg)
-	futs := make(map[string][][]*future[float64], len(strategies))
+	p := workpool.New(cfg.Parallel)
+	futs := make(map[string][][]*workpool.Future[float64], len(strategies))
 	for _, name := range strategies {
 		f, err := StrategyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		cells := make([][]*future[float64], len(wayRange))
+		cells := make([][]*workpool.Future[float64], len(wayRange))
 		for j, w := range wayRange {
 			for c := 4; c <= 10; c++ {
 				cells[j] = append(cells[j], esAtAsync(p, cfg, f, c, w))
@@ -208,7 +209,7 @@ func runFig3b(cfg RunConfig) (*Result, error) {
 		for j := range wayRange {
 			var pts []entropy.Point
 			for c := 4; c <= 10; c++ {
-				es, err := futs[name][j][c-4].wait()
+				es, err := futs[name][j][c-4].Wait()
 				if err != nil {
 					return nil, err
 				}

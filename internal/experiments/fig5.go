@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 )
 
 func init() {
@@ -32,9 +33,9 @@ func init() {
 func runSnapshot(cfg RunConfig, id string, xapianLoad float64) (*Result, error) {
 	res := &Result{ID: id, Title: fmt.Sprintf("Allocation snapshots, Xapian %s", fmtPct(xapianLoad))}
 	spec := machine.DefaultSpec()
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	names := []string{"parties", "arq"}
-	futs := make([]*future[*core.Result], len(names))
+	futs := make([]*workpool.Future[*core.Result], len(names))
 	for i, name := range names {
 		f, err := StrategyByName(name)
 		if err != nil {
@@ -43,7 +44,7 @@ func runSnapshot(cfg RunConfig, id string, xapianLoad float64) (*Result, error) 
 		futs[i] = runMixAsync(p, cfg, spec, standardMix(xapianLoad, 0.20, 0.20, "stream"), f, core.Options{})
 	}
 	for i, name := range names {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

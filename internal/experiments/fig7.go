@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 	"ahq/internal/workload"
 )
@@ -32,14 +33,14 @@ func runFig7(cfg RunConfig) (*Result, error) {
 		loads = []float64{0.10, 0.50, 0.85, 1.10}
 		coreCounts = []int{1, 4}
 	}
-	p := newPool(cfg)
-	futs := make(map[string][][]*future[float64], len(apps))
+	p := workpool.New(cfg.Parallel)
+	futs := make(map[string][][]*workpool.Future[float64], len(apps))
 	for _, name := range apps {
-		cells := make([][]*future[float64], len(loads))
+		cells := make([][]*workpool.Future[float64], len(loads))
 		for i, load := range loads {
-			cells[i] = make([]*future[float64], len(coreCounts))
+			cells[i] = make([]*workpool.Future[float64], len(coreCounts))
 			for j, cores := range coreCounts {
-				cells[i][j] = submit(p, func() (float64, error) {
+				cells[i][j] = workpool.Submit(p, func() (float64, error) {
 					return soloP95(cfg, name, load, cores)
 				})
 			}
@@ -59,7 +60,7 @@ func runFig7(cfg RunConfig) (*Result, error) {
 		for i, load := range loads {
 			row := []string{fmtPct(load)}
 			for j := range coreCounts {
-				p95, err := futs[name][i][j].wait()
+				p95, err := futs[name][i][j].Wait()
 				if err != nil {
 					return nil, err
 				}

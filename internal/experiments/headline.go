@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 )
 
 func init() {
@@ -52,9 +53,9 @@ func runHeadline(cfg RunConfig) (*Result, error) {
 	}
 	results := map[string]*agg{}
 	order := []string{"parties", "clite", "arq"}
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	type cell struct {
-		fut *future[*core.Result]
+		fut *workpool.Future[*core.Result]
 		low bool
 	}
 	futs := make(map[string][]cell, len(order))
@@ -78,7 +79,7 @@ func runHeadline(cfg RunConfig) (*Result, error) {
 	for _, name := range order {
 		a := &agg{}
 		for _, c := range futs[name] {
-			run, err := c.fut.wait()
+			run, err := c.fut.Wait()
 			if err != nil {
 				return nil, err
 			}

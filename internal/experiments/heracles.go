@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sched"
 	"ahq/internal/sched/heracles"
 )
@@ -48,10 +49,10 @@ func runExtHeracles(cfg RunConfig) (*Result, error) {
 		tab.Columns = append(tab.Columns,
 			fmtPct(l)+" E_LC", fmtPct(l)+" E_BE", fmtPct(l)+" E_S")
 	}
-	p := newPool(cfg)
-	futs := make([][]*future[*core.Result], len(strategies))
+	p := workpool.New(cfg.Parallel)
+	futs := make([][]*workpool.Future[*core.Result], len(strategies))
 	for si, f := range strategies {
-		futs[si] = make([]*future[*core.Result], len(loads))
+		futs[si] = make([]*workpool.Future[*core.Result], len(loads))
 		for li, l := range loads {
 			futs[si][li] = runMixAsync(p, cfg, machine.DefaultSpec(),
 				standardMix(l, 0.20, 0.20, "stream"), f, core.Options{})
@@ -60,7 +61,7 @@ func runExtHeracles(cfg RunConfig) (*Result, error) {
 	for si, f := range strategies {
 		row := []string{f.Name}
 		for li := range loads {
-			run, err := futs[si][li].wait()
+			run, err := futs[si][li].Wait()
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 	"ahq/internal/workload"
 )
@@ -70,7 +71,7 @@ func runLoadSweep(cfg RunConfig, id string, sw sweepSpec) (*Result, error) {
 		opts = core.Options{EpochMs: 500, WarmupMs: 10_000, DurationMs: 40_000}
 	}
 
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	for _, fixed := range fixedLoads {
 		entTab := Table{
 			Caption: fmt.Sprintf("entropy vs %s load (fixed LC loads %s)", sw.varApp, fmtPct(fixed)),
@@ -86,9 +87,9 @@ func runLoadSweep(cfg RunConfig, id string, sw sweepSpec) (*Result, error) {
 			latTab.Columns = append(latTab.Columns, fmtPct(l))
 		}
 		// One job per (strategy, load) cell of this fixed-load block.
-		futs := make([][]*future[*core.Result], len(strategies))
+		futs := make([][]*workpool.Future[*core.Result], len(strategies))
 		for si, f := range strategies {
-			futs[si] = make([]*future[*core.Result], len(varLoads))
+			futs[si] = make([]*workpool.Future[*core.Result], len(varLoads))
 			for li, l := range varLoads {
 				apps := []sim.AppConfig{
 					lcAt(sw.varApp, l),
@@ -105,7 +106,7 @@ func runLoadSweep(cfg RunConfig, id string, sw sweepSpec) (*Result, error) {
 				"p95": {f.Name, "p95"}, "IPC": {f.Name, "IPC"},
 			}
 			for li, l := range varLoads {
-				run, err := futs[si][li].wait()
+				run, err := futs[si][li].Wait()
 				if err != nil {
 					return nil, fmt.Errorf("%s %s load %.0f%%: %w", id, f.Name, 100*l, err)
 				}

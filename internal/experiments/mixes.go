@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
 	"ahq/internal/sched/clite"
@@ -89,6 +90,15 @@ func runMix(cfg RunConfig, spec machine.Spec, apps []sim.AppConfig, f StrategyFa
 		opts.WarmupMs, opts.DurationMs = warm, dur
 	}
 	return core.Run(engine, f.New(cfg.Seed), opts)
+}
+
+// runMixAsync submits one runMix invocation to the runner's pool. Every
+// run is independent and seed-deterministic, and runners read futures back
+// in submission order, so output is identical at any RunConfig.Parallel.
+func runMixAsync(p *workpool.Pool, cfg RunConfig, spec machine.Spec, apps []sim.AppConfig, f StrategyFactory, opts core.Options) *workpool.Future[*core.Result] {
+	return workpool.Submit(p, func() (*core.Result, error) {
+		return runMix(cfg, spec, apps, f, opts)
+	})
 }
 
 // standardMix is the paper's primary collocation: Xapian (variable load),

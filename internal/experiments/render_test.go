@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -85,5 +86,32 @@ func TestSparkline(t *testing.T) {
 	}
 	if Spark(0.5) == Spark(1.0) {
 		t.Error("mid and max map to the same glyph")
+	}
+}
+
+func TestTableRenderingAlignsRunes(t *testing.T) {
+	tab := Table{
+		Columns: []string{"app", "E_S"},
+	}
+	tab.AddRow("café-détour", "0.1") // 11 runes, 13 bytes
+	tab.AddRow("plain-ascii", "0.2") // 11 runes, 11 bytes
+	var b strings.Builder
+	tab.Fprint(&b)
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	// Both data rows pad the first column to the same rune width, so the
+	// second column starts at the same rune offset in every row.
+	var offsets []int
+	for _, line := range lines[2:] {
+		idx := strings.Index(line, "0.")
+		if idx < 0 {
+			t.Fatalf("row %q missing value cell", line)
+		}
+		offsets = append(offsets, len([]rune(line[:idx])))
+	}
+	if offsets[0] != offsets[1] {
+		t.Errorf("value column misaligned: rune offsets %v\n%s", offsets, b.String())
+	}
+	if !strings.Contains(fmt.Sprint(lines), "café-détour") {
+		t.Error("non-ASCII cell lost")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/workload"
 )
 
@@ -29,15 +30,15 @@ func runTable2(cfg RunConfig) (*Result, error) {
 		Caption: "Xapian(20%) Moses(20%) Img-dnn(20%) + Fluidanimate, 20 LLC ways",
 		Columns: []string{"Cores", "App", "TL_i0", "TL_i1", "M_i", "A_i", "R_i", "ReT_i", "Q_i", "E_LC", "E_BE", "E_S"},
 	}
-	p := newPool(cfg)
+	p := workpool.New(cfg.Parallel)
 	coreCounts := []int{6, 7, 8}
-	futs := make([]*future[*core.Result], len(coreCounts))
+	futs := make([]*workpool.Future[*core.Result], len(coreCounts))
 	for i, cores := range coreCounts {
 		spec := machine.DefaultSpec().Shrink(cores, 20)
 		futs[i] = runMixAsync(p, cfg, spec, standardMix(0.20, 0.20, 0.20, "fluidanimate"), unmanaged, core.Options{})
 	}
 	for i, cores := range coreCounts {
-		run, err := futs[i].wait()
+		run, err := futs[i].Wait()
 		if err != nil {
 			return nil, err
 		}

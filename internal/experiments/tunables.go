@@ -5,6 +5,7 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
+	workpool "ahq/internal/pool"
 	"ahq/internal/sim"
 )
 
@@ -48,14 +49,14 @@ func runAblationTunables(cfg RunConfig) (*Result, error) {
 	}
 	warm, dur := horizons(cfg)
 	coreCounts := []int{6, 7, 8}
-	p := newPool(cfg)
-	futs := make([][]*future[float64], len(variants))
+	p := workpool.New(cfg.Parallel)
+	futs := make([][]*workpool.Future[float64], len(variants))
 	for vi, v := range variants {
 		tun := base
 		v.mut(&tun)
-		futs[vi] = make([]*future[float64], len(coreCounts))
+		futs[vi] = make([]*workpool.Future[float64], len(coreCounts))
 		for i, cores := range coreCounts {
-			futs[vi][i] = submit(p, func() (float64, error) {
+			futs[vi][i] = workpool.Submit(p, func() (float64, error) {
 				engine, err := sim.New(sim.Config{
 					Spec:     machine.DefaultSpec().Shrink(cores, 20),
 					Seed:     cfg.Seed,
@@ -77,7 +78,7 @@ func runAblationTunables(cfg RunConfig) (*Result, error) {
 	for vi, v := range variants {
 		var es [3]float64
 		for i := range coreCounts {
-			val, err := futs[vi][i].wait()
+			val, err := futs[vi][i].Wait()
 			if err != nil {
 				return nil, err
 			}

@@ -7,7 +7,6 @@ import (
 	"ahq/internal/core"
 	"ahq/internal/faults"
 	"ahq/internal/machine"
-	"ahq/internal/rdt"
 	"ahq/internal/sched/arq"
 	"ahq/internal/sim"
 	"ahq/internal/trace"
@@ -272,22 +271,25 @@ func TestStaleBeforeFirstWindowInjectsNothing(t *testing.T) {
 	}
 }
 
-// TestHostWrapperFailsAtPlannedEpochs covers the rdt.Host path used by the
-// daemon: Apply fails exactly at the plan's epochs.
-func TestHostWrapperFailsAtPlannedEpochs(t *testing.T) {
+// TestEngineApplyFailsAtPlannedEpochs: SetAllocation fails exactly in the
+// plan's epochs, which the engine counts by RunWindow calls — apply@2x2
+// fails after the 3rd and 4th window, never before the first.
+func TestEngineApplyFailsAtPlannedEpochs(t *testing.T) {
 	plan, err := faults.Parse("apply@2x2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.NewInjector(plan)
-	host := inj.Host(rdt.NewSimHost(testEngine(t, 9)))
+	eng := inj.Engine(testEngine(t, 9))
 	alloc := machine.AllShared(machine.DefaultSpec(), machine.FairShare,
 		[]string{"xapian", "moses", "stream"})
-	for epoch := 0; epoch < 5; epoch++ {
-		host.SetEpoch(epoch)
-		err := host.Apply(alloc)
-		if wantFail := epoch == 2 || epoch == 3; (err != nil) != wantFail {
-			t.Errorf("epoch %d: Apply err = %v, want failure=%v", epoch, err, wantFail)
+	for windows := 0; windows <= 5; windows++ {
+		if windows > 0 {
+			eng.RunWindow(500)
+		}
+		err := eng.SetAllocation(alloc)
+		if wantFail := windows == 3 || windows == 4; (err != nil) != wantFail {
+			t.Errorf("after %d windows: SetAllocation err = %v, want failure=%v", windows, err, wantFail)
 		}
 	}
 	if got := inj.Stats().ApplyFailures; got != 2 {

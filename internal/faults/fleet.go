@@ -106,7 +106,9 @@ func (s Selector) victims(n int) int {
 // on a set of victim nodes.
 type FleetEvent struct {
 	Kind FleetKind
-	// Epoch is the first controller epoch (0-based) the fault is active in.
+	// Epoch is the first fleet epoch (0-based) the fault is active in.
+	// Fleet epochs are wall-clock epochs: they advance while a node is
+	// down, unlike the controller epochs a Plan counts.
 	Epoch int
 	// Epochs is the duration in epochs (>= 1); ignored when Persistent.
 	Epochs int
@@ -119,20 +121,12 @@ type FleetEvent struct {
 	Victims []int
 }
 
-// ActiveAt reports whether the event covers the epoch.
-func (e FleetEvent) ActiveAt(epoch int) bool {
-	if epoch < e.Epoch {
-		return false
-	}
-	if e.Persistent {
-		return true
-	}
-	n := e.Epochs
-	if n < 1 {
-		n = 1
-	}
-	return epoch < e.Epoch+n
+func (e FleetEvent) head() eventHead {
+	return eventHead{int(e.Kind), e.Epoch, e.Epochs, e.Persistent}
 }
+
+// ActiveAt reports whether the event covers the epoch.
+func (e FleetEvent) ActiveAt(epoch int) bool { return e.head().activeAt(epoch) }
 
 // Hits reports whether the resolved event covers the node.
 func (e FleetEvent) Hits(node int) bool {
@@ -151,14 +145,7 @@ func (e FleetEvent) Hits(node int) bool {
 
 // String renders the event in plan-spec form: "crash@120x3/nodes=2%".
 func (e FleetEvent) String() string {
-	s := fmt.Sprintf("%s@%d", e.Kind, e.Epoch)
-	switch {
-	case e.Persistent:
-		s += "+"
-	case e.Epochs > 1:
-		s = fmt.Sprintf("%sx%d", s, e.Epochs)
-	}
-	return s + "/" + e.Sel.String()
+	return e.head().render(e.Kind.String()) + "/" + e.Sel.String()
 }
 
 // FleetPlan is a deterministic, epoch-indexed fleet fault schedule. The
@@ -176,11 +163,7 @@ func (p *FleetPlan) String() string {
 	if p.Empty() {
 		return "-"
 	}
-	parts := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ",")
+	return joinEvents(p.Events)
 }
 
 // ParseFleet reads a fleet plan spec: comma-separated events of the form
@@ -189,48 +172,15 @@ func (p *FleetPlan) String() string {
 // nodes=1. "", "-" and "none" parse to the empty plan. Victims are not
 // assigned here; Resolve draws them against a concrete fleet.
 func ParseFleet(spec string) (*FleetPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "-" || spec == "none" {
-		return &FleetPlan{}, nil
-	}
 	p := &FleetPlan{}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
+	for _, item := range splitSpec(spec) {
 		evPart, selPart, hasSel := strings.Cut(item, "/")
-		name, at, ok := strings.Cut(evPart, "@")
-		if !ok {
-			return nil, fmt.Errorf("faults: fleet event %q needs kind@epoch", item)
+		h, err := parseHead(evPart, item, "fleet ", fleetKindNames[:])
+		if err != nil {
+			return nil, err
 		}
-		ev := FleetEvent{Kind: -1, Epochs: 1, Sel: Selector{Node: -1, Count: 1}}
-		for k := FleetKind(0); k < numFleetKinds; k++ {
-			if fleetKindNames[k] == name {
-				ev.Kind = k
-				break
-			}
-		}
-		if ev.Kind < 0 {
-			return nil, fmt.Errorf("faults: unknown fleet fault kind %q (want %s)",
-				name, strings.Join(fleetKindNames[:], "|"))
-		}
-		if rest, ok := strings.CutSuffix(at, "+"); ok {
-			ev.Persistent = true
-			at = rest
-		} else if epochStr, durStr, ok := strings.Cut(at, "x"); ok {
-			n, err := strconv.Atoi(durStr)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("faults: fleet event %q: bad duration %q", item, durStr)
-			}
-			ev.Epochs = n
-			at = epochStr
-		}
-		epoch, err := strconv.Atoi(at)
-		if err != nil || epoch < 0 {
-			return nil, fmt.Errorf("faults: fleet event %q: bad epoch %q", item, at)
-		}
-		ev.Epoch = epoch
+		ev := FleetEvent{Kind: FleetKind(h.kind), Epoch: h.epoch, Epochs: h.epochs,
+			Persistent: h.persistent, Sel: Selector{Node: -1, Count: 1}}
 		if hasSel {
 			sel, err := parseSelector(selPart)
 			if err != nil {
@@ -368,50 +318,38 @@ func GenerateFleet(seed int64, n int) *FleetPlan {
 	return resolved
 }
 
-// sortFleetEvents orders events canonically: by epoch, kind, duration,
-// then selector rendering, so String output — and the victim draw, which
+// sortFleetEvents orders events canonically: in eventHead order, then by
+// selector rendering, so String output — and the victim draw, which
 // consumes the seeded stream in event order — is stable.
 func sortFleetEvents(events []FleetEvent) {
 	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
+		a, b := events[i].head(), events[j].head()
+		if a != b {
+			return a.less(b)
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Persistent != b.Persistent {
-			return b.Persistent
-		}
-		if a.Epochs != b.Epochs {
-			return a.Epochs < b.Epochs
-		}
-		return a.Sel.String() < b.Sel.String()
+		return events[i].Sel.String() < events[j].Sel.String()
 	})
 }
 
 // DownAt reports whether the node is crashed at the epoch. The plan must
 // be resolved.
-func (p *FleetPlan) DownAt(node, epoch int) bool {
-	if p == nil {
-		return false
-	}
-	for _, e := range p.Events {
-		if e.Kind == NodeCrash && e.ActiveAt(epoch) && e.Hits(node) {
-			return true
-		}
-	}
-	return false
-}
+func (p *FleetPlan) DownAt(node, epoch int) bool { return p.hitAt(NodeCrash, node, epoch) }
 
 // DegradedAt reports whether the node runs with shrunken capacity at the
 // epoch. The plan must be resolved.
-func (p *FleetPlan) DegradedAt(node, epoch int) bool {
+func (p *FleetPlan) DegradedAt(node, epoch int) bool { return p.hitAt(NodeDegrade, node, epoch) }
+
+// BlackoutAt reports whether the node's telemetry is blacked out at the
+// epoch. The plan must be resolved.
+func (p *FleetPlan) BlackoutAt(node, epoch int) bool { return p.hitAt(NodeBlackout, node, epoch) }
+
+// hitAt reports whether an event of the kind covers the node at the epoch.
+func (p *FleetPlan) hitAt(k FleetKind, node, epoch int) bool {
 	if p == nil {
 		return false
 	}
 	for _, e := range p.Events {
-		if e.Kind == NodeDegrade && e.ActiveAt(epoch) && e.Hits(node) {
+		if e.Kind == k && e.ActiveAt(epoch) && e.Hits(node) {
 			return true
 		}
 	}
@@ -439,11 +377,7 @@ func (p *FleetPlan) Boundaries(total int) []int {
 		}
 		add(e.Epoch)
 		if !e.Persistent {
-			n := e.Epochs
-			if n < 1 {
-				n = 1
-			}
-			add(e.Epoch + n)
+			add(e.Epoch + max(e.Epochs, 1))
 		}
 	}
 	out := make([]int, 0, len(set))
@@ -476,14 +410,7 @@ func (p *FleetPlan) BlackoutPlan(node, from, to int) *Plan {
 		start, run = -1, 0
 	}
 	for e := from; e < to; e++ {
-		dark := false
-		for _, ev := range p.Events {
-			if ev.Kind == NodeBlackout && ev.ActiveAt(e) && ev.Hits(node) {
-				dark = true
-				break
-			}
-		}
-		if dark {
+		if p.BlackoutAt(node, e) {
 			if run == 0 {
 				start = e - from
 			}

@@ -6,7 +6,6 @@ import (
 
 	"ahq/internal/core"
 	"ahq/internal/machine"
-	"ahq/internal/rdt"
 	"ahq/internal/sched"
 	"ahq/internal/workload"
 )
@@ -30,8 +29,8 @@ func (s Stats) Total() int {
 }
 
 // Injector owns one fault plan and hands out the wrappers that enact it.
-// One injector is meant to wrap the pieces of one run (engine + strategy,
-// or host); its Stats then account for every fault that run absorbed. Not
+// One injector is meant to wrap the pieces of one run (engine and
+// strategy); its Stats then account for every fault that run absorbed. Not
 // safe for concurrent use, matching the engine it wraps.
 type Injector struct {
 	plan  *Plan
@@ -56,10 +55,11 @@ func (in *Injector) Stats() Stats { return in.stats }
 // faults. Controller epochs are counted by RunWindow calls; the initial
 // allocation a controller applies before its first window is never faulted
 // (the daemon comes up healthy, then the actuator degrades mid-run). With
-// an empty plan every method is a verbatim pass-through.
+// an empty plan every method is a verbatim pass-through; the methods it
+// does not fault are promoted from the wrapped engine.
 type Engine struct {
-	inner core.Engine
-	in    *Injector
+	core.Engine
+	in *Injector
 	// epoch counts completed RunWindow calls; the window that call n
 	// delivers (and the applies that follow it) belong to epoch n.
 	epoch    int
@@ -73,26 +73,8 @@ type Engine struct {
 
 // Engine wraps an engine with this injector's plan.
 func (in *Injector) Engine(inner core.Engine) *Engine {
-	return &Engine{inner: inner, in: in}
+	return &Engine{Engine: inner, in: in}
 }
-
-// Spec implements core.Engine.
-func (e *Engine) Spec() machine.Spec { return e.inner.Spec() }
-
-// AppSpecs implements core.Engine.
-func (e *Engine) AppSpecs() []sched.AppSpec { return e.inner.AppSpecs() }
-
-// Allocation implements core.Engine.
-func (e *Engine) Allocation() machine.Allocation { return e.inner.Allocation() }
-
-// ResetRunStats implements core.Engine.
-func (e *Engine) ResetRunStats() { e.inner.ResetRunStats() }
-
-// RunP95 implements core.Engine.
-func (e *Engine) RunP95(app string) float64 { return e.inner.RunP95(app) }
-
-// RunIPC implements core.Engine.
-func (e *Engine) RunIPC(app string) float64 { return e.inner.RunIPC(app) }
 
 // NowMs implements core.Engine; during a stale-replay epoch it reports the
 // replayed snapshot's timestamp, which is how the controller detects it.
@@ -100,7 +82,7 @@ func (e *Engine) NowMs() float64 {
 	if e.staleNow {
 		return e.prevTime
 	}
-	return e.inner.NowMs()
+	return e.Engine.NowMs()
 }
 
 // RunWindow implements core.Engine: the node always advances, but the
@@ -109,7 +91,7 @@ func (e *Engine) RunWindow(windowMs float64) []sched.AppWindow {
 	epoch := e.epoch
 	e.epoch++
 	e.staleNow = false
-	win := e.inner.RunWindow(windowMs)
+	win := e.Engine.RunWindow(windowMs)
 	if !e.in.plan.Empty() {
 		switch {
 		case e.in.plan.ActiveAt(epoch, TelemetryDrop):
@@ -134,7 +116,7 @@ func (e *Engine) RunWindow(windowMs float64) []sched.AppWindow {
 		}
 		// Healthy delivery: remember it for a later stale replay.
 		e.prev = append(e.prev[:0], win...)
-		e.prevTime = e.inner.NowMs()
+		e.prevTime = e.Engine.NowMs()
 		e.havePrev = true
 	}
 	return win
@@ -147,30 +129,22 @@ func (e *Engine) SetAllocation(a machine.Allocation) error {
 		e.in.stats.ApplyFailures++
 		return fmt.Errorf("faults: injected apply failure at epoch %d", epoch)
 	}
-	return e.inner.SetAllocation(a)
+	return e.Engine.SetAllocation(a)
 }
 
 var _ core.Engine = (*Engine)(nil)
 
 // Strategy wraps a sched.Strategy, panicking inside Decide at the plan's
-// StrategyPanic epochs to exercise the controller's recover path. Init and
-// healthy epochs pass through untouched.
+// StrategyPanic epochs to exercise the controller's recover path. Name,
+// Init and healthy epochs pass through untouched.
 type Strategy struct {
-	inner sched.Strategy
-	in    *Injector
+	sched.Strategy
+	in *Injector
 }
 
 // Strategy wraps a strategy with this injector's plan.
 func (in *Injector) Strategy(inner sched.Strategy) *Strategy {
-	return &Strategy{inner: inner, in: in}
-}
-
-// Name implements sched.Strategy.
-func (s *Strategy) Name() string { return s.inner.Name() }
-
-// Init implements sched.Strategy.
-func (s *Strategy) Init(spec machine.Spec, apps []sched.AppSpec) machine.Allocation {
-	return s.inner.Init(spec, apps)
+	return &Strategy{Strategy: inner, in: in}
 }
 
 // Decide implements sched.Strategy.
@@ -179,38 +153,7 @@ func (s *Strategy) Decide(t sched.Telemetry, current machine.Allocation) machine
 		s.in.stats.StrategyPanics++
 		panic(fmt.Sprintf("faults: injected strategy panic at epoch %d", t.Epoch))
 	}
-	return s.inner.Decide(t, current)
+	return s.Strategy.Decide(t, current)
 }
 
 var _ sched.Strategy = (*Strategy)(nil)
-
-// Host wraps an rdt.Host with epoch-indexed Apply failures, for callers
-// that drive the host directly instead of through core.Run (the ahqd
-// daemon). The caller advances the epoch once per monitoring interval.
-type Host struct {
-	inner rdt.Host
-	in    *Injector
-	epoch int
-}
-
-// Host wraps a host with this injector's plan.
-func (in *Injector) Host(inner rdt.Host) *Host {
-	return &Host{inner: inner, in: in}
-}
-
-// SetEpoch positions the host at a controller epoch.
-func (h *Host) SetEpoch(epoch int) { h.epoch = epoch }
-
-// Spec implements rdt.Host.
-func (h *Host) Spec() machine.Spec { return h.inner.Spec() }
-
-// Apply implements rdt.Host, failing at the plan's ApplyFail epochs.
-func (h *Host) Apply(a machine.Allocation) error {
-	if h.in.plan.ActiveAt(h.epoch, ApplyFail) {
-		h.in.stats.ApplyFailures++
-		return fmt.Errorf("faults: injected apply failure at epoch %d", h.epoch)
-	}
-	return h.inner.Apply(a)
-}
-
-var _ rdt.Host = (*Host)(nil)

@@ -1,8 +1,8 @@
 // Package faults provides deterministic fault injection for the Ah-Q
 // controller: a seeded, epoch-indexed fault plan plus wrappers for the
-// engine (core.Engine), the enforcement host (rdt.Host), and the strategy
-// (sched.Strategy) that make the planned faults happen — rejected applies,
-// dropped/stale/NaN-corrupted telemetry windows, and strategy panics.
+// engine (core.Engine) and the strategy (sched.Strategy) that make the
+// planned faults happen — rejected applies, dropped/stale/NaN-corrupted
+// telemetry windows, and strategy panics.
 // Everything is reproducible from the plan alone: the same plan against the
 // same seeded engine yields byte-identical runs, and an empty plan makes
 // every wrapper a pass-through, so the zero-fault path is a true no-op.
@@ -11,6 +11,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,33 +55,14 @@ type Event struct {
 	Persistent bool
 }
 
+func (e Event) head() eventHead { return eventHead{int(e.Kind), e.Epoch, e.Epochs, e.Persistent} }
+
 // ActiveAt reports whether the event covers the epoch.
-func (e Event) ActiveAt(epoch int) bool {
-	if epoch < e.Epoch {
-		return false
-	}
-	if e.Persistent {
-		return true
-	}
-	n := e.Epochs
-	if n < 1 {
-		n = 1
-	}
-	return epoch < e.Epoch+n
-}
+func (e Event) ActiveAt(epoch int) bool { return e.head().activeAt(epoch) }
 
 // String renders the event in plan-spec form: "apply@5", "drop@8x3",
 // "apply@10+".
-func (e Event) String() string {
-	s := fmt.Sprintf("%s@%d", e.Kind, e.Epoch)
-	switch {
-	case e.Persistent:
-		return s + "+"
-	case e.Epochs > 1:
-		return fmt.Sprintf("%sx%d", s, e.Epochs)
-	}
-	return s
-}
+func (e Event) String() string { return e.head().render(e.Kind.String()) }
 
 // Plan is a deterministic, epoch-indexed fault schedule. The zero value
 // (and nil) is the empty plan: no faults.
@@ -110,62 +92,118 @@ func (p *Plan) String() string {
 	if p.Empty() {
 		return "-"
 	}
-	parts := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ",")
+	return joinEvents(p.Events)
 }
 
 // Parse reads a plan spec: comma-separated events of the form
 // kind@epoch[xN|+], where kind is one of apply, drop, stale, nan, panic.
 // "", "-" and "none" parse to the empty plan.
 func Parse(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "-" || spec == "none" {
-		return &Plan{}, nil
-	}
 	p := &Plan{}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
+	for _, item := range splitSpec(spec) {
+		h, err := parseHead(item, item, "", kindNames[:])
+		if err != nil {
+			return nil, err
 		}
-		name, at, ok := strings.Cut(item, "@")
-		if !ok {
-			return nil, fmt.Errorf("faults: event %q needs kind@epoch", item)
-		}
-		ev := Event{Kind: -1, Epochs: 1}
-		for k := Kind(0); k < numKinds; k++ {
-			if kindNames[k] == name {
-				ev.Kind = k
-				break
-			}
-		}
-		if ev.Kind < 0 {
-			return nil, fmt.Errorf("faults: unknown fault kind %q (want %s)",
-				name, strings.Join(kindNames[:], "|"))
-		}
-		if rest, ok := strings.CutSuffix(at, "+"); ok {
-			ev.Persistent = true
-			at = rest
-		} else if epochStr, durStr, ok := strings.Cut(at, "x"); ok {
-			n, err := strconv.Atoi(durStr)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("faults: event %q: bad duration %q", item, durStr)
-			}
-			ev.Epochs = n
-			at = epochStr
-		}
-		epoch, err := strconv.Atoi(at)
-		if err != nil || epoch < 0 {
-			return nil, fmt.Errorf("faults: event %q: bad epoch %q", item, at)
-		}
-		ev.Epoch = epoch
-		p.Events = append(p.Events, ev)
+		p.Events = append(p.Events, Event{Kind: Kind(h.kind), Epoch: h.epoch, Epochs: h.epochs, Persistent: h.persistent})
 	}
 	sortEvents(p.Events)
 	return p, nil
+}
+
+// eventHead is the timing grammar both plan DSLs share: the
+// kind@epoch[xN|+] head of an event, with the kind as an index into the
+// DSL's kind names.
+type eventHead struct {
+	kind, epoch, epochs int
+	persistent          bool
+}
+
+// parseHead reads an event head against the kind names. item is the whole
+// event and scope ("" or "fleet ") names the DSL; both only shape errors.
+func parseHead(head, item, scope string, kinds []string) (eventHead, error) {
+	name, at, ok := strings.Cut(head, "@")
+	if !ok {
+		return eventHead{}, fmt.Errorf("faults: %sevent %q needs kind@epoch", scope, item)
+	}
+	h := eventHead{kind: slices.Index(kinds, name), epochs: 1}
+	if h.kind < 0 {
+		return eventHead{}, fmt.Errorf("faults: unknown %sfault kind %q (want %s)",
+			scope, name, strings.Join(kinds, "|"))
+	}
+	if rest, ok := strings.CutSuffix(at, "+"); ok {
+		h.persistent = true
+		at = rest
+	} else if epochStr, durStr, ok := strings.Cut(at, "x"); ok {
+		n, err := strconv.Atoi(durStr)
+		if err != nil || n < 1 {
+			return eventHead{}, fmt.Errorf("faults: %sevent %q: bad duration %q", scope, item, durStr)
+		}
+		h.epochs = n
+		at = epochStr
+	}
+	epoch, err := strconv.Atoi(at)
+	if err != nil || epoch < 0 {
+		return eventHead{}, fmt.Errorf("faults: %sevent %q: bad epoch %q", scope, item, at)
+	}
+	h.epoch = epoch
+	return h, nil
+}
+
+// activeAt reports whether the head covers the epoch: from its epoch on,
+// for its duration (at least one epoch) or for good when persistent.
+func (h eventHead) activeAt(epoch int) bool {
+	return epoch >= h.epoch && (h.persistent || epoch < h.epoch+max(h.epochs, 1))
+}
+
+// render writes the head in spec form: "apply@5", "drop@8x3", "apply@10+".
+func (h eventHead) render(kind string) string {
+	s := kind + "@" + strconv.Itoa(h.epoch)
+	switch {
+	case h.persistent:
+		return s + "+"
+	case h.epochs > 1:
+		return s + "x" + strconv.Itoa(h.epochs)
+	}
+	return s
+}
+
+// less is the canonical event order: by epoch, kind, bounded before
+// persistent, then duration.
+func (h eventHead) less(o eventHead) bool {
+	switch {
+	case h.epoch != o.epoch:
+		return h.epoch < o.epoch
+	case h.kind != o.kind:
+		return h.kind < o.kind
+	case h.persistent != o.persistent:
+		return o.persistent
+	}
+	return h.epochs < o.epochs
+}
+
+// splitSpec splits a plan spec into its trimmed, non-empty events; "",
+// "-" and "none" hold none.
+func splitSpec(spec string) []string {
+	var items []string
+	if spec = strings.TrimSpace(spec); spec == "-" || spec == "none" {
+		return nil
+	}
+	for _, item := range strings.Split(spec, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			items = append(items, item)
+		}
+	}
+	return items
+}
+
+// joinEvents renders events as a comma-joined spec.
+func joinEvents[E fmt.Stringer](events []E) string {
+	parts := make([]string, len(events))
+	for i, e := range events {
+		parts[i] = e.String()
+	}
+	return strings.Join(parts, ",")
 }
 
 // Generate draws a reproducible random plan over a horizon of controller
@@ -191,20 +229,8 @@ func Generate(seed int64, horizon int) *Plan {
 	return p
 }
 
-// sortEvents orders events by epoch, then kind, then duration, so that
-// String output (and everything derived from it) is canonical.
+// sortEvents orders events canonically (eventHead.less), so that String
+// output (and everything derived from it) is canonical.
 func sortEvents(events []Event) {
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Epoch != b.Epoch {
-			return a.Epoch < b.Epoch
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Persistent != b.Persistent {
-			return b.Persistent
-		}
-		return a.Epochs < b.Epochs
-	})
+	sort.Slice(events, func(i, j int) bool { return events[i].head().less(events[j].head()) })
 }

@@ -1,10 +1,10 @@
-// Package rdt is the resource-control host layer: the interface through
-// which the Ah-Q controller applies an allocation to a machine, and a
-// translation from region-based allocations to Intel RDT configuration —
-// CAT classes of service with contiguous way bitmasks, MBA throttling
-// percentages, and taskset-style core lists. On the paper's testbed this
-// layer would shell out to resctrl; in this reproduction the simulator
-// implements the same interface.
+// Package rdt is the CLOS planner: it translates a region-based allocation
+// into Intel RDT configuration — CAT classes of service with contiguous
+// way bitmasks, MBA throttling percentages, and taskset-style core lists.
+// On the paper's testbed a resctrl backend would install such a plan; in
+// this reproduction the simulator enforces allocations directly (it is the
+// core.Engine the controller drives), and the planner renders what the
+// hardware configuration would be, as ahqd's /v1/allocation shows.
 package rdt
 
 import (
@@ -14,15 +14,6 @@ import (
 
 	"ahq/internal/machine"
 )
-
-// Host abstracts whatever enforces an allocation: the simulator here, or a
-// real resctrl/taskset backend on hardware.
-type Host interface {
-	// Spec describes the controllable node.
-	Spec() machine.Spec
-	// Apply enforces the allocation.
-	Apply(machine.Allocation) error
-}
 
 // CLOS is one class of service in a CAT/MBA plan: the concrete hardware
 // configuration for one region.
