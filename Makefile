@@ -11,7 +11,7 @@
 #   bench      - run the benchmark suite and emit BENCH_<n>.json
 #                (benchmark name -> ns/op, B/op, allocs/op via cmd/benchjson)
 #   results    - regenerate every paper artifact into results/
-#   fuzz       - fuzz the percentile estimators, the fault-plan DSLs,
+#   fuzz       - fuzz the percentile estimator, the fault-plan DSLs,
 #                the load-trace CSV reader and the ahqd load handler
 #   clean      - remove generated results
 
@@ -55,7 +55,6 @@ results:
 	$(GO) run ./cmd/ahqbench -all -csv results/csv | tee results/full_run.txt
 
 fuzz:
-	$(GO) test -fuzz FuzzP2VsExact -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz FuzzPercentile -fuzztime 20s ./internal/metrics/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/faults/
 	$(GO) test -fuzz '^FuzzParseFleet$$' -fuzztime 20s ./internal/faults/

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ahq/internal/machine"
+	"ahq/internal/sched"
 	"ahq/internal/sched/arq"
+	"ahq/internal/sched/clite"
 	"ahq/internal/sched/parties"
 	"ahq/internal/sched/static"
 	"ahq/internal/sim"
@@ -37,6 +40,48 @@ func mix(t *testing.T, seed int64, xapianLoad float64, be string) *sim.Engine {
 }
 
 func opts() Options { return Options{WarmupMs: 6_000, DurationMs: 12_000} }
+
+// TestEpochEntropyDecomposes: the paper's Eq. 7 on every epoch, not just
+// on run averages — each EpochRecord's E_LC and E_BE lie in [0,1] and its
+// E_S is exactly RI·E_LC + (1−RI)·E_BE, for every managed strategy, two RIs
+// and a light and a heavy Xapian load.
+func TestEpochEntropyDecomposes(t *testing.T) {
+	strategies := []struct {
+		name string
+		mk   func() sched.Strategy
+	}{
+		{"arq", func() sched.Strategy { return arq.Default() }},
+		{"parties", func() sched.Strategy { return parties.Default() }},
+		{"clite", func() sched.Strategy { return clite.Default() }},
+	}
+	for _, st := range strategies {
+		for _, ri := range []float64{0.6, 0.8} {
+			for _, load := range []float64{0.2, 0.8} {
+				o := opts()
+				o.RI, o.RecordTimeline = ri, true
+				res, err := Run(mix(t, 11, load, "stream"), st.mk(), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Timeline) == 0 {
+					t.Fatalf("%s ri=%.1f load=%.1f: empty timeline", st.name, ri, load)
+				}
+				for i, rec := range res.Timeline {
+					for _, v := range []float64{rec.ELC, rec.EBE, rec.ES} {
+						if !(v >= 0 && v <= 1) {
+							t.Fatalf("%s ri=%.1f load=%.1f epoch %d: entropy %g outside [0,1] (E_LC %g, E_BE %g, E_S %g)",
+								st.name, ri, load, i, v, rec.ELC, rec.EBE, rec.ES)
+						}
+					}
+					if want := ri*rec.ELC + (1-ri)*rec.EBE; math.Abs(rec.ES-want) > 1e-12 {
+						t.Fatalf("%s ri=%.1f load=%.1f epoch %d: E_S %g, want RI·E_LC+(1−RI)·E_BE = %g",
+							st.name, ri, load, i, rec.ES, want)
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestARQLowLoadKeepsSharing: at low load ARQ should stay close to its
 // all-shared initial allocation (Fig. 5's left half) — no isolated cores

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// evenWeights adapts plain samples to the weighted form with weight 1.
+func evenWeights[S any](samples []S) []Weighted[S] {
+	out := make([]Weighted[S], len(samples))
+	for i, s := range samples {
+		out[i] = Weighted[S]{Sample: s, Weight: 1}
+	}
+	return out
+}
+
 func TestWeightedReducesToPlainWithEqualWeights(t *testing.T) {
 	lc := table2Row6Cores()
 	be := []BESample{{SoloIPC: 2.7, MeasuredIPC: 1.3}, {SoloIPC: 0.6, MeasuredIPC: 0.2}}
@@ -15,15 +24,15 @@ func TestWeightedReducesToPlainWithEqualWeights(t *testing.T) {
 	plainEBE, _ := EBE(be)
 	_, _, plainES, _ := System{RI: 0.8}.Compute(lc, be)
 
-	welc, err := WeightedELC(EvenLCWeights(lc))
+	welc, err := WeightedELC(evenWeights(lc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	webe, err := WeightedEBE(EvenBEWeights(be))
+	webe, err := WeightedEBE(evenWeights(be))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, wes, err := WeightedSystem{RI: 0.8}.Compute(EvenLCWeights(lc), EvenBEWeights(be))
+	_, _, wes, err := WeightedSystem{RI: 0.8}.Compute(evenWeights(lc), evenWeights(be))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +98,14 @@ func TestWeightedValidation(t *testing.T) {
 	if _, err := WeightedELC(nil); !errors.Is(err, ErrNoSamples) {
 		t.Error("empty weighted ELC")
 	}
-	if _, _, _, err := (WeightedSystem{RI: 2}).Compute(nil, EvenBEWeights([]BESample{{SoloIPC: 1, MeasuredIPC: 1}})); err == nil {
+	if _, _, _, err := (WeightedSystem{RI: 2}).Compute(nil, evenWeights([]BESample{{SoloIPC: 1, MeasuredIPC: 1}})); err == nil {
 		t.Error("bad RI accepted")
 	}
 }
 
 func TestWeightedSystemDegeneration(t *testing.T) {
-	lc := EvenLCWeights([]LCSample{{IdealMs: 1, MeasuredMs: 4, TargetMs: 2}})
-	be := EvenBEWeights([]BESample{{SoloIPC: 2, MeasuredIPC: 1}})
+	lc := evenWeights([]LCSample{{IdealMs: 1, MeasuredMs: 4, TargetMs: 2}})
+	be := evenWeights([]BESample{{SoloIPC: 2, MeasuredIPC: 1}})
 	_, _, es, err := WeightedSystem{RI: 0.3}.Compute(lc, nil)
 	if err != nil || math.Abs(es-0.5) > 1e-12 {
 		t.Errorf("LC-only: es=%g err=%v", es, err)

@@ -12,10 +12,10 @@ package faults
 // Selectors come in three spellings: node=K pins one explicit node,
 // nodes=N draws N distinct victims, nodes=P% draws ⌈P% of the fleet⌉
 // victims (at least one). Drawn selectors are resolved deterministically
-// from a seed (Resolve, GenerateFleet), so the same plan against the same
-// fleet always hurts the same nodes. Everything downstream — the cluster
-// engine's phase schedule, the supervisor's re-placements — is a pure
-// function of the resolved plan.
+// from a seed (Resolve), so the same plan against the same fleet always
+// hurts the same nodes. Everything downstream — the cluster engine's phase
+// schedule, the supervisor's re-placements — is a pure function of the
+// resolved plan.
 
 import (
 	"fmt"
@@ -117,7 +117,7 @@ type FleetEvent struct {
 	// Sel picks the victims; ignored once Victims is resolved.
 	Sel Selector
 	// Victims holds the resolved victim node indices, ascending; nil until
-	// Resolve (or GenerateFleet) assigns them.
+	// Resolve assigns them.
 	Victims []int
 }
 
@@ -232,7 +232,7 @@ func parseSelector(s string) (Selector, error) {
 // pure function of (plan, seed, n): events are processed in canonical
 // order, each consuming from one seeded stream, so equal inputs always
 // pick equal victims. Events that already carry victims keep them
-// (GenerateFleet pre-resolves; a plan may mix both), but every victim is
+// (resolving a resolved plan yields an equal plan), but every victim is
 // validated against the fleet size.
 func (p *FleetPlan) Resolve(seed int64, n int) (*FleetPlan, error) {
 	if n <= 0 {
@@ -282,42 +282,6 @@ func (p *FleetPlan) Resolved() bool {
 	return true
 }
 
-// GenerateFleet draws a reproducible random fleet plan over a fleet of n
-// nodes and a default 120-epoch horizon: for each fault kind up to two
-// events at random epochs with durations of two to eight epochs hitting up
-// to 5% of the fleet; crash events are occasionally persistent. Victims
-// are resolved from the same seed, so equal (seed, n) yield equal plans.
-func GenerateFleet(seed int64, n int) *FleetPlan {
-	const horizon = 120
-	rng := rand.New(rand.NewSource(seed))
-	p := &FleetPlan{}
-	maxVictims := n / 20
-	if maxVictims < 1 {
-		maxVictims = 1
-	}
-	for k := FleetKind(0); k < numFleetKinds; k++ {
-		for i, cnt := 0, rng.Intn(3); i < cnt; i++ {
-			ev := FleetEvent{
-				Kind:   k,
-				Epoch:  1 + rng.Intn(horizon-1),
-				Epochs: 2 + rng.Intn(7),
-				Sel:    Selector{Node: -1, Count: 1 + rng.Intn(maxVictims)},
-			}
-			if k == NodeCrash && rng.Intn(5) == 0 {
-				ev.Persistent = true
-			}
-			p.Events = append(p.Events, ev)
-		}
-	}
-	sortFleetEvents(p.Events)
-	resolved, err := p.Resolve(seed, n)
-	if err != nil {
-		// Unreachable: generated selectors are always within bounds.
-		panic(err)
-	}
-	return resolved
-}
-
 // sortFleetEvents orders events canonically: in eventHead order, then by
 // selector rendering, so String output — and the victim draw, which
 // consumes the seeded stream in event order — is stable.
@@ -354,38 +318,6 @@ func (p *FleetPlan) hitAt(k FleetKind, node, epoch int) bool {
 		}
 	}
 	return false
-}
-
-// Boundaries returns the sorted distinct epochs in (0, total) at which any
-// crash or degrade event starts or ends — the epochs where the fleet's
-// physical configuration changes and a phased simulation must cut a new
-// segment. Blackout events are excluded: they lower to node-local
-// telemetry faults inside a segment and never change the configuration.
-func (p *FleetPlan) Boundaries(total int) []int {
-	if p.Empty() {
-		return nil
-	}
-	set := map[int]bool{}
-	add := func(e int) {
-		if e > 0 && e < total {
-			set[e] = true
-		}
-	}
-	for _, e := range p.Events {
-		if e.Kind == NodeBlackout {
-			continue
-		}
-		add(e.Epoch)
-		if !e.Persistent {
-			add(e.Epoch + max(e.Epochs, 1))
-		}
-	}
-	out := make([]int, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // BlackoutPlan lowers the node's blackout coverage inside the epoch range

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement substrate of the reproduction:
-// tail-latency percentile estimation (exact and streaming), sliding
-// measurement windows, and IPC accounting. It stands in for the performance
-// counters and the Tailbench latency harness of the paper's testbed.
+// exact tail-latency percentiles, sliding measurement windows, and IPC
+// accounting. It stands in for the performance counters and the Tailbench
+// latency harness of the paper's testbed.
 package metrics
 
 import "math"
@@ -142,10 +142,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// P95 returns the 95th-percentile of the samples; the paper uses p95 as its
-// tail-latency metric throughout.
-func P95(samples []float64) float64 { return Percentile(samples, 0.95) }
 
 // Mean returns the arithmetic mean, or NaN for an empty slice.
 func Mean(samples []float64) float64 {

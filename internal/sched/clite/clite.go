@@ -393,15 +393,8 @@ func (s *Strategy) randomConfigInto(cfg []int) {
 	}
 }
 
-// perturb moves one to three random resource units between random
-// partitions of a config, respecting the 1-unit floors.
-func (s *Strategy) perturb(cfg []int) []int {
-	out := make([]int, len(cfg))
-	s.perturbInto(out, cfg)
-	return out
-}
-
-// perturbInto is perturb writing into a caller-provided config.
+// perturbInto copies cfg into out and moves one to three random resource
+// units between random partitions, respecting the 1-unit floors.
 func (s *Strategy) perturbInto(out, cfg []int) {
 	n := s.nApps()
 	copy(out, cfg)
@@ -418,17 +411,10 @@ func (s *Strategy) perturbInto(out, cfg []int) {
 	}
 }
 
-// randomPartition splits total units over n bins, each at least 1, by
-// dealing the surplus with uniformly random bin choices.
-func randomPartition(rng *rand.Rand, total, n int) []int {
-	parts := make([]int, n)
-	randomPartitionInto(rng, total, parts)
-	return parts
-}
-
-// randomPartitionInto is randomPartition dealing into a caller-provided
-// slice; the candidate loop partitions straight into the config it is
-// building instead of allocating a scratch partition per resource.
+// randomPartitionInto splits total units over the bins of parts, each at
+// least 1, by dealing the surplus with uniformly random bin choices. The
+// candidate loop partitions straight into the config it is building
+// instead of allocating a scratch partition per resource.
 func randomPartitionInto(rng *rand.Rand, total int, parts []int) {
 	n := len(parts)
 	for i := range parts {

@@ -108,8 +108,9 @@ func TestUnpointProducesValidConfigs(t *testing.T) {
 func TestPerturbKeepsInvariants(t *testing.T) {
 	s := newTest()
 	base := s.randomConfig()
+	p := make([]int, len(base))
 	for i := 0; i < 200; i++ {
-		p := s.perturb(base)
+		s.perturbInto(p, base)
 		alloc := s.decodeAlloc(p)
 		if err := alloc.Validate(machine.DefaultSpec(), appNames()); err != nil {
 			t.Fatalf("perturbed config invalid: %v", err)
